@@ -1,40 +1,20 @@
-"""Hot kernels: the exact torus partition sum and the filter cascade.
+"""Hot kernel: the exact torus partition sum.
 
 ``partition_brute`` has one route, an exact integer count of spin
-configurations by bond energy (pure numpy; no JIT needed).  ``cascade_abs2``
-has two implementations selected at import time: a numba ``@njit`` version
-and a vectorized numpy version with identical semantics.  Set
-``ISINGRG_DISABLE_NUMBA=1`` to force the numpy cascade; ``HAS_NUMBA``
-reports which cascade path is live.  numba is optional.
+configurations by bond energy (pure numpy; no JIT needed).
+``_partition_brute_numpy`` enumerates every configuration and stays as the
+reference.  ``HAS_NUMBA`` only reports whether numba is installed; it
+selects nothing.
 """
 
 from __future__ import annotations
 
-import os
+import importlib.util
 from functools import lru_cache
 
 import numpy as np
 
-try:
-    if os.environ.get("ISINGRG_DISABLE_NUMBA"):
-        raise ImportError("numba disabled via ISINGRG_DISABLE_NUMBA")
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag in CI runs
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # noqa: D401 - decorator passthrough
-        """No-op stand-in for numba.njit."""
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-    prange = range
+HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 _MAX_BRUTE_SPINS = 24
 
@@ -121,41 +101,3 @@ def partition_brute(k_horiz: float, k_vert: float, n_cols: int, n_rows: int) -> 
         g, k_within, k_between = _bond_counts(n_rows, n_cols), k_vert, k_horiz
     energy = 2.0 * np.arange(n + 1) - n
     return float(np.exp(k_within * energy) @ g @ np.exp(k_between * energy))
-
-
-def _cascade_abs2_numpy(taps: np.ndarray, k: np.ndarray, depth: int) -> np.ndarray:
-    """prod_{n=1..depth} |m0(k/2^n)|^2 for the low-pass ``taps``."""
-    out = np.ones_like(k, dtype=np.float64)
-    idx = np.arange(taps.size)
-    for n in range(1, depth + 1):
-        theta = k / (2.0 ** n)
-        ph = np.exp(-1j * np.outer(theta, idx))
-        m0 = ph @ taps.astype(np.complex128) / np.sqrt(2.0)
-        out *= np.abs(m0) ** 2
-    return out
-
-
-@njit(cache=True, parallel=True)
-def _cascade_abs2_numba(taps: np.ndarray, k: np.ndarray, depth: int) -> np.ndarray:  # pragma: no cover - numba path
-    out = np.empty(k.size, dtype=np.float64)
-    for i in prange(k.size):
-        acc = 1.0
-        for n in range(1, depth + 1):
-            theta = k[i] / (2.0 ** n)
-            re = 0.0
-            im = 0.0
-            for j in range(taps.size):
-                re += taps[j] * np.cos(theta * j)
-                im -= taps[j] * np.sin(theta * j)
-            acc *= (re * re + im * im) / 2.0
-        out[i] = acc
-    return out
-
-
-def cascade_abs2(taps: np.ndarray, k: np.ndarray, depth: int) -> np.ndarray:
-    """Squared cascade modulus prod |m0(k/2^n)|^2, n = 1..depth."""
-    taps = np.asarray(taps, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    if HAS_NUMBA:
-        return _cascade_abs2_numba(taps, k, depth)
-    return _cascade_abs2_numpy(taps, k, depth)

@@ -59,6 +59,14 @@ def panel_nodes(edges: np.ndarray, order: int):
     return nodes.ravel(), weights.ravel()
 
 
+def octave_nodes(j: int, order: int):
+    """Nodes/weights on the octave ``[2^j pi, 2^(j+1) pi]``: panels of
+    width about ``pi/2``, at least 8 and at most 4096 of them."""
+    lo, hi = (2.0 ** j) * np.pi, (2.0 ** (j + 1)) * np.pi
+    n_pan = min(4096, max(8, int((hi - lo) / (np.pi / 2.0))))
+    return panel_nodes(np.linspace(lo, hi, n_pan + 1), order)
+
+
 def symmetric_nodes(kmax: float, finest: float, order: int, max_width: float = np.pi):
     """Nodes/weights covering [-kmax, kmax], mirror-symmetric, origin excluded."""
     e = dyadic_edges(kmax, finest, max_width)

@@ -133,11 +133,11 @@ def _parse_filter(name: str) -> int:
         return 2
     if low.startswith("d") and low[1:].isdigit():
         taps = int(low[1:])
-        if taps >= 2 and taps % 2 == 0 and taps <= 40:
+        if taps >= 2 and taps % 2 == 0 and taps <= 20:
             return taps
     raise argparse.ArgumentTypeError(
         f"unknown filter {name!r}: use 'haar' or 'd<taps>' with an even tap "
-        "count between 2 and 40 (d2, d4, d8, ...)")
+        "count between 2 and 20 (d2, d4, ..., d20)")
 
 
 def _filter_from_config(cfg: RunConfig) -> Filter:
@@ -413,10 +413,11 @@ def _verify_kernels(records: List[Dict]) -> None:
 def _verify_rgflow(records: List[Dict], filt: Filter) -> None:
     c = Couplings.critical()
     delta = SiteVector.delta(0)
-    lat = renormalized_two_point(c, filt, 0, delta, delta, "a_adag")
-    direct = renormalized_two_point(c, filt, 0, delta, delta, "a_adag")
-    _record(records, "rgflow", "depth-0 determinism",
-            lat == direct, f"value {lat!r}")
+    occ = renormalized_two_point(c, filt, 0, delta, delta, "adag_a")
+    s1 = 2.0 * occ.real - 1.0
+    _record(records, "rgflow", "depth-0 transverse field 2/pi",
+            abs(s1 - 2.0 / math.pi) < 1e-12,
+            f"2 Re<a*a> - 1 = {s1!r}, deviation {abs(s1 - 2.0 / math.pi):.3e}")
     errs = []
     for m in (4, 6):
         ren = renormalized_two_point(c, filt, m, delta, delta, "a_adag")
@@ -541,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--filter", type=_parse_filter, default=8,
                        dest="filter_taps",
-                       help="filter name: haar or d<taps> (default d8)")
+                       help="filter name: haar or d<taps>, d2..d20 (default d8)")
         p.add_argument("--t1", type=float, default=1.0)
         p.add_argument("--t3", type=float, default=1.0)
         p.add_argument("--beta", type=float, default=math.inf)

@@ -23,11 +23,11 @@ independent four-term expansion through the scalar two-point integrals of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._accel import cascade_abs2
 from ._quadrature import integrate
 from .kernels import (
     Couplings,
@@ -38,13 +38,14 @@ from .kernels import (
     covariance_massive_thermal,
 )
 from .rgflow import (
+    _osc_width,
     lattice_two_point,
     limit_two_point,
     massive_thermal_two_point,
     momentum_cutoff,
     renormalized_two_point,
 )
-from .wavelet import Filter, s_hat
+from .wavelet import Filter, cascade_product, s_hat
 
 __all__ = [
     "QuasiFreeState",
@@ -116,11 +117,10 @@ def _state_kernel_weight(state: QuasiFreeState):
         return (lambda k: covariance_lattice(c, k),
                 lambda k: np.ones(np.shape(k)), np.pi)
     if state.kind == "renormalized":
-        c, m = state.couplings, state.m
-        taps = np.asarray(state.filt.taps)
+        c, f, m = state.couplings, state.filt, state.m
         scale = 2.0 ** m
         return (lambda k: covariance_lattice(c, k / scale),
-                lambda k: cascade_abs2(taps, k, m), scale * np.pi)
+                lambda k: np.abs(cascade_product(f, k, m)) ** 2, scale * np.pi)
     if state.kind == "critical_limit":
         f = state.filt
         return (covariance_critical_limit,
@@ -128,13 +128,6 @@ def _state_kernel_weight(state: QuasiFreeState):
     f, mu0, beta0, t = state.filt, state.mu0, state.beta0, state.t
     return (lambda k: covariance_massive_thermal(k, mu0, beta0, t),
             lambda k: np.abs(s_hat(f, k)) ** 2, momentum_cutoff(f).cutoff)
-
-
-def _osc_width_pair(v1: SelfDualVector, v2: SelfDualVector) -> float:
-    extent = 1
-    for sv in (v1.xi, v1.eta, v2.xi, v2.eta):
-        extent = max(extent, int(np.max(np.abs(sv.sites))))
-    return float(min(np.pi, 2.0 * np.pi / (extent + 1)))
 
 
 def self_dual_two_point(state: QuasiFreeState, v1: SelfDualVector,
@@ -149,7 +142,21 @@ def self_dual_two_point(state: QuasiFreeState, v1: SelfDualVector,
         return weight(k) * np.einsum("ti,tij,tj->t", w1, C, w2)
 
     return complex(integrate(f, kmax, np.pi / 64.0, order,
-                             max_width=_osc_width_pair(v1, v2)) / (2.0 * np.pi))
+                             max_width=_osc_width(v1.xi, v1.eta, v2.xi, v2.eta))
+                   / (2.0 * np.pi))
+
+
+def _scalar_two_point(state: QuasiFreeState, order: int):
+    """The state's scalar two-point function ``(v1, v2, kind) -> complex``."""
+    if state.kind == "lattice":
+        return partial(lattice_two_point, state.couplings, order=order)
+    if state.kind == "renormalized":
+        return partial(renormalized_two_point, state.couplings, state.filt,
+                       state.m, order=order)
+    if state.kind == "critical_limit":
+        return partial(limit_two_point, state.filt, order=order)
+    return partial(massive_thermal_two_point, state.filt, mu0=state.mu0,
+                   beta0=state.beta0, t=state.t, order=order)
 
 
 def self_dual_two_point_expanded(state: QuasiFreeState, v1: SelfDualVector,
@@ -161,22 +168,7 @@ def self_dual_two_point_expanded(state: QuasiFreeState, v1: SelfDualVector,
     q1 = SiteVector.combine(v1.xi, v1.eta, 1.0, 1.0j).conj()
     q2 = SiteVector.combine(v2.xi, v2.eta, 1.0, 1.0j).conj()
 
-    if state.kind == "lattice":
-        def tp(a, b, kind):
-            return lattice_two_point(state.couplings, a, b, kind, order=order)
-    elif state.kind == "renormalized":
-        def tp(a, b, kind):
-            return renormalized_two_point(state.couplings, state.filt, state.m,
-                                          a, b, kind, order=order)
-    elif state.kind == "critical_limit":
-        def tp(a, b, kind):
-            return limit_two_point(state.filt, a, b, kind, order=order)
-    else:
-        def tp(a, b, kind):
-            return massive_thermal_two_point(
-                state.filt, a, b, kind, mu0=state.mu0, beta0=state.beta0,
-                t=state.t, order=order)
-
+    tp = _scalar_two_point(state, order)
     return (tp(p1, p2, "a_a") + tp(p1, q2, "a_adag")
             + tp(q1, p2, "adag_a") + tp(q1, q2, "adag_adag"))
 
@@ -398,15 +390,5 @@ def transverse_field_expectation(state: QuasiFreeState, site: int = 0,
                                  order: int = 24) -> float:
     """``<s1_j> = 2 <a*_j a_j> - 1`` (equals ``2/pi`` in the critical limit)."""
     dj = SiteVector.delta(site)
-    if state.kind == "lattice":
-        val = lattice_two_point(state.couplings, dj, dj, "adag_a", order=order)
-    elif state.kind == "renormalized":
-        val = renormalized_two_point(state.couplings, state.filt, state.m,
-                                     dj, dj, "adag_a", order=order)
-    elif state.kind == "critical_limit":
-        val = limit_two_point(state.filt, dj, dj, "adag_a", order=order)
-    else:
-        val = massive_thermal_two_point(state.filt, dj, dj, "adag_a",
-                                        mu0=state.mu0, beta0=state.beta0,
-                                        t=state.t, order=order)
+    val = _scalar_two_point(state, order)(dj, dj, "adag_a")
     return float(2.0 * np.real(val) - 1.0)

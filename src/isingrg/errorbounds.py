@@ -31,7 +31,7 @@ from typing import Callable, ClassVar, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._quadrature import panel_nodes, symmetric_nodes
+from ._quadrature import octave_nodes, symmetric_nodes
 from .kernels import (
     Couplings,
     SelfDualVector,
@@ -279,10 +279,7 @@ def _weight_octave_ratio(filt: Filter, two_weight: float) -> float:
     """Geometric-mean top-octave mass ratio of ``|s^|^{two_weight}``."""
     masses = []
     for j in range(9):
-        lo, hi = (2.0 ** j) * math.pi, (2.0 ** (j + 1)) * math.pi
-        n_pan = min(4096, max(8, int((hi - lo) / (math.pi / 2.0))))
-        edges = np.linspace(lo, hi, n_pan + 1)
-        x, w = panel_nodes(edges, 12)
+        x, w = octave_nodes(j, 12)
         masses.append(float(np.dot(w, np.abs(s_hat(filt, x)) ** two_weight)))
     ratios = [masses[j + 1] / masses[j] for j in range(5, 8)]
     return float(np.exp(np.mean(np.log(ratios))))

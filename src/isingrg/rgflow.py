@@ -26,8 +26,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._accel import cascade_abs2
-from ._quadrature import integrate, panel_nodes
+from ._quadrature import integrate, octave_nodes
 from .kernels import (
     Couplings,
     SiteVector,
@@ -37,7 +36,7 @@ from .kernels import (
     creation_pair_density,
     massive_pair_densities,
 )
-from .wavelet import Filter, m0, s_hat
+from .wavelet import Filter, cascade_product, s_hat
 
 __all__ = [
     "DISORDER_KERNEL",
@@ -103,8 +102,11 @@ def _pair_integral(density_ann, density_cre, weight_fn, v1: SiteVector,
 
 def renormalized_two_point(c: Couplings, filt: Filter, m: int, v1: SiteVector,
                            v2: SiteVector, kind: str = "a_adag", *,
-                           domain: str = "auto", order: int = 24) -> complex:
+                           order: int = 24) -> complex:
     """Two-point function of the ``m``-times renormalized Gibbs state.
+
+    The integral runs over the momentum window ``[-2^m pi, 2^m pi]`` with
+    the cascade weight ``W_m(k) = |prod_{n=1..m} m0(2^-n k)|^2``.
 
     Parameters
     ----------
@@ -119,10 +121,6 @@ def renormalized_two_point(c: Couplings, filt: Filter, m: int, v1: SiteVector,
     kind : {"a_adag", "adag_adag", "a_a", "adag_a"}
         Which ordered pair to evaluate: ``<a(v1) a*(v2)>``,
         ``<a*(v1) a*(v2)>``, ``<a(v1) a(v2)>``, or ``<a*(v1) a(v2)>``.
-    domain : {"auto", "momentum", "angle"}
-        Integration variable.  ``momentum`` rescales to ``[-2^m pi, 2^m pi]``
-        (uniformly accurate, the default for large ``m``); ``angle`` stays on
-        ``[-pi, pi]``.  Both evaluate the same integral.
 
     Returns
     -------
@@ -130,68 +128,22 @@ def renormalized_two_point(c: Couplings, filt: Filter, m: int, v1: SiteVector,
     """
     if m < 0 or int(m) != m:
         raise ValueError("m must be a non-negative integer")
-    if domain not in ("auto", "momentum", "angle"):
-        raise ValueError("domain must be 'auto', 'momentum' or 'angle'")
-    if domain == "auto":
-        domain = "angle" if m < 6 else "momentum"
-    taps = np.asarray(filt.taps)
     scale = 2.0 ** m
-
-    if domain == "momentum":
-        kmax = scale * np.pi
-        finest = np.pi / 64.0
-        width = _osc_width(v1, v2)
-
-        def weight(k):
-            return cascade_abs2(taps, k, m)
-
-        return _pair_integral(
-            lambda k: annihilation_pair_density(c, k / scale),
-            lambda k: creation_pair_density(c, k / scale),
-            weight, v1, v2, kind, kmax, finest, order, width)
-
-    # angle domain: theta in [-pi, pi], hats evaluated at 2^m theta
-    finest = np.pi / (64.0 * scale)
-    width = _osc_width(v1, v2) / scale
-
-    def weight_theta(theta):
-        out = np.full(np.shape(theta), scale)
-        for n in range(m):
-            out = out * np.abs(m0(filt, (2.0 ** n) * theta)) ** 2
-        return out
-
-    sv1 = _Rescaled(v1, scale)
-    sv2 = _Rescaled(v2, scale)
     return _pair_integral(
-        lambda th: annihilation_pair_density(c, th),
-        lambda th: creation_pair_density(c, th),
-        weight_theta, sv1, sv2, kind, np.pi, finest, order, width)
-
-
-class _Rescaled:
-    """View of a SiteVector with its hat evaluated at ``scale * theta``."""
-
-    def __init__(self, vec: SiteVector, scale: float):
-        self._vec = vec
-        self._scale = scale
-        self.sites = vec.sites  # oscillation bookkeeping only
-
-    def hat(self, theta):
-        return self._vec.hat(self._scale * np.asarray(theta, float))
+        lambda k: annihilation_pair_density(c, k / scale),
+        lambda k: creation_pair_density(c, k / scale),
+        lambda k: np.abs(cascade_product(filt, k, m)) ** 2,
+        v1, v2, kind, scale * np.pi, np.pi / 64.0, order, _osc_width(v1, v2))
 
 
 def lattice_two_point(c: Couplings, v1: SiteVector, v2: SiteVector,
                       kind: str = "a_adag", order: int = 24) -> complex:
     """Bare (un-renormalized) Gibbs two-point function; equals ``m = 0``."""
-    return renormalized_two_point(c, _TRIVIAL_FILTER, 0, v1, v2, kind,
-                                  domain="momentum", order=order)
-
-
-class _Trivial:
-    taps = (1.0,)
-
-
-_TRIVIAL_FILTER = _Trivial()
+    return _pair_integral(
+        lambda k: annihilation_pair_density(c, k),
+        lambda k: creation_pair_density(c, k),
+        lambda k: 1.0, v1, v2, kind, np.pi, np.pi / 64.0, order,
+        _osc_width(v1, v2))
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +180,7 @@ def momentum_cutoff(filt: Filter, target: float = 1e-10, cap_exp: int = 9,
 
     masses = []
     for j in range(horizon_exp):
-        lo, hi = (2.0 ** j) * np.pi, (2.0 ** (j + 1)) * np.pi
-        n_pan = min(4096, max(8, int((hi - lo) / (np.pi / 2.0))))
-        edges = np.linspace(lo, hi, n_pan + 1)
-        x, w = panel_nodes(edges, order)
+        x, w = octave_nodes(j, order)
         masses.append(float(np.dot(w, density(x))))
     masses = np.array(masses)
 
@@ -404,10 +353,8 @@ def classify_flow(c: Couplings, m_values: Tuple[int, ...] = (4, 8, 12),
 def renormalization_isometry_defect(filt: Filter, xi: SiteVector, m: int,
                                     order: int = 24) -> float:
     """| ||R^m xi||^2 - ||xi||^2 | for the iterated coarse-graining isometry."""
-    taps = np.asarray(filt.taps)
-
     def f(k):
-        return cascade_abs2(taps, k, m) * np.abs(xi.hat(k)) ** 2
+        return np.abs(cascade_product(filt, k, m)) ** 2 * np.abs(xi.hat(k)) ** 2
 
     val = integrate(f, (2.0 ** m) * np.pi, np.pi / 64.0, order,
                     max_width=_osc_width(xi)) / (2.0 * np.pi)

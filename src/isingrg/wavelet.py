@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "Filter",
     "HighPassFilter",
-    "ScalingFunctionFT",
     "make_daubechies_filter",
     "high_pass",
     "m0",
@@ -49,7 +48,8 @@ class Filter:
     order : int
         Number of vanishing moments ``p``; the filter has ``2p`` taps.
     taps : numpy.ndarray
-        Coefficients ``h_0 .. h_{2p-1}``, summing to ``sqrt(2)``.
+        Coefficients ``h_0 .. h_{2p-1}``, summing to ``sqrt(2)``.  The filter
+        keeps a read-only copy, so caches keyed on the filter cannot go stale.
     """
 
     name: str
@@ -57,7 +57,9 @@ class Filter:
     taps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "taps", np.asarray(self.taps, dtype=float))
+        taps = np.array(self.taps, dtype=float)  # a copy: the caller's array stays writable
+        taps.flags.writeable = False
+        object.__setattr__(self, "taps", taps)
         if self.taps.ndim != 1 or self.taps.size != 2 * self.order:
             raise ValueError(
                 f"filter {self.name!r}: expected {2 * self.order} taps, got {self.taps.size}"
@@ -158,11 +160,18 @@ def high_pass(filt: Filter) -> HighPassFilter:
 
 
 def m0(filt: Filter, theta) -> np.ndarray:
-    """Low-pass symbol ``m0(theta) = 2^{-1/2} sum_n h_n e^{-i n theta}``."""
-    theta = np.asarray(theta, dtype=float)
-    n = np.arange(filt.taps.size)
-    phases = np.exp(-1j * np.multiply.outer(theta, n))
-    return (phases @ filt.taps) / np.sqrt(2.0)
+    """Low-pass symbol ``m0(theta) = 2^{-1/2} sum_n h_n e^{-i n theta}``.
+
+    Evaluated by Horner's rule in ``z = e^{-i theta}``: one complex
+    exponential per node.
+    """
+    z = np.exp(-1j * np.asarray(theta, dtype=float))
+    h = filt.taps
+    out = np.full(z.shape, h[-1], dtype=complex)
+    for tap in h[-2::-1]:
+        out *= z
+        out += tap
+    return out / np.sqrt(2.0)
 
 
 def cascade_product(filt: Filter, k, m: int) -> np.ndarray:
@@ -204,24 +213,6 @@ def s_hat(filt: Filter, k) -> np.ndarray:
     out = cascade_product(filt, k, depth)
     out *= 1.0 + _m0_prime0(filt) * (k / 2.0**depth)
     return out
-
-
-class ScalingFunctionFT:
-    """Callable wrapper around :func:`s_hat` for one filter.
-
-    Evaluation is vectorized; ``abs2(k)`` returns ``|s_hat(k)|^2`` which is
-    what every covariance integral actually consumes.
-    """
-
-    def __init__(self, filt: Filter):
-        self.filter = filt
-
-    def __call__(self, k):
-        return s_hat(self.filter, k)
-
-    def abs2(self, k):
-        v = s_hat(self.filter, k)
-        return (v * v.conj()).real
 
 
 def export_csv(filt: Filter, path) -> None:

@@ -134,6 +134,20 @@ def test_parser_error_leaves_no_file(tmp_path, monkeypatch):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_filter_range_matches_builder(tmp_path, monkeypatch, capsys):
+    # make_daubechies_filter builds p <= 10, so d22 is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["filters", "--filter", "d22", "--out", "x.csv"],
+                monkeypatch, tmp_path)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+    assert "between 2 and 20" in capsys.readouterr().err
+    assert run_cli(["filters", "--filter", "d20", "--out", "d20.csv"],
+                   monkeypatch, tmp_path) == 0
+    _, _, rows = read_table(tmp_path / "d20.csv")
+    assert len(rows) == 22
+
+
 def test_value_error_exit_code(tmp_path, monkeypatch, capsys):
     # momentum table with a negative point count fails validation, code 2
     code = run_cli(["kernel", "--points", "-3", "--out", "x.csv"],
@@ -177,6 +191,16 @@ def test_verify_suite_passes(tmp_path, monkeypatch, capsys):
     assert all(r["passed"] for r in report["records"])
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_verify_rgflow_suite_passes(tmp_path, monkeypatch):
+    assert run_cli(["verify", "--suite", "rgflow", "--out", "rep.json"],
+                   monkeypatch, tmp_path) == 0
+    report = json.loads((tmp_path / "rep.json").read_text())
+    assert report["passed"] is True
+    names = [r["name"] for r in report["records"]]
+    assert "depth-0 transverse field 2/pi" in names
+    assert "depth-0 determinism" not in names
 
 
 def test_verify_corrupt_filter_fails(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Renormalization flow: closed-form anchors, domain consistency, limits,
+"""Renormalization flow: closed-form anchors, limits,
 classification, and calibrated massive/thermal convergence."""
 
 import math
@@ -71,22 +71,10 @@ def test_lattice_equals_depth_zero(d4):
         assert complex(bare) == pytest.approx(complex(via_flow), abs=1e-12)
 
 
-def test_domain_routes_agree(d4):
-    c = Couplings.critical()
-    for m in (3, 6):
-        ang = renormalized_two_point(c, d4, m, DELTA0, DELTA1, "a_adag",
-                                     domain="angle")
-        mom = renormalized_two_point(c, d4, m, DELTA0, DELTA1, "a_adag",
-                                     domain="momentum")
-        assert complex(ang) == pytest.approx(complex(mom), abs=1e-10)
-
-
 def test_input_validation(d4):
     c = Couplings.critical()
     with pytest.raises(ValueError):
         renormalized_two_point(c, d4, -1, DELTA0, DELTA0)
-    with pytest.raises(ValueError):
-        renormalized_two_point(c, d4, 1, DELTA0, DELTA0, domain="fourier")
     with pytest.raises(ValueError):
         renormalized_two_point(c, d4, 1, DELTA0, DELTA0, kind="a_b")
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from isingrg.wavelet import (
     Filter,
-    ScalingFunctionFT,
     cascade_product,
     export_csv,
     high_pass,
@@ -185,12 +184,14 @@ def test_shift_orthonormality_of_transform(d8):
     np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-6)
 
 
-def test_transform_wrapper(d8):
-    ft = ScalingFunctionFT(d8)
-    k = np.array([0.5, 2.0])
-    np.testing.assert_allclose(ft(k), s_hat(d8, k), rtol=0, atol=0)
-    np.testing.assert_allclose(ft.abs2(k), np.abs(s_hat(d8, k)) ** 2,
-                               rtol=0, atol=1e-15)
+def test_taps_are_a_read_only_copy(d4):
+    with pytest.raises(ValueError):
+        d4.taps[0] = 0.0
+    mine = np.array(d4.taps)
+    filt = Filter(name="mine", order=2, taps=mine)
+    assert mine.flags.writeable
+    mine[0] = 0.0
+    assert filt.taps[0] == d4.taps[0]
 
 
 # ---------------------------------------------------------------------------
