@@ -40,7 +40,6 @@ from .errorbounds import (
     InadmissibleFilterError,
     MOMENTUM_WINDOW,
     OscillationResolutionError,
-    SobolevNorm,
     SupConstantsReport,
     bound_report,
     bound_sweep,
@@ -67,7 +66,6 @@ from .rgflow import (
     FlowClassification,
     calibrated_couplings,
     classify_flow,
-    flow_trajectory,
     lattice_two_point,
     limit_two_point,
     massive_thermal_two_point,
@@ -105,7 +103,6 @@ __all__ = [
     "momentum_cutoff",
     "calibrated_couplings",
     "classify_flow",
-    "flow_trajectory",
     "FlowClassification",
     "DISORDER_KERNEL",
     "ORDER_KERNEL",
@@ -125,7 +122,6 @@ __all__ = [
     "InadmissibleFilterError",
     "OscillationResolutionError",
     "SupConstantsReport",
-    "SobolevNorm",
     "BoundReport",
     "sup_constants",
     "sobolev_norm",

@@ -85,22 +85,3 @@ def integrate(f, kmax: float, finest: float, order: int = 20, symmetric: bool = 
         x, w = panel_nodes(dyadic_edges(kmax, finest, max_width), order)
     return np.dot(w, f(x))
 
-
-def integrate_adaptive(f, kmax: float, finest: float, order: int = 20,
-                       rtol: float = 1e-9, max_doublings: int = 3,
-                       symmetric: bool = True, max_width: float = np.pi):
-    """Node-doubling convergence: raise GL order until relative change < rtol.
-
-    Returns (value, achieved_relative_change).
-    """
-    prev = integrate(f, kmax, finest, order, symmetric, max_width)
-    change = np.inf
-    for _ in range(max_doublings):
-        order *= 2
-        cur = integrate(f, kmax, finest, order, symmetric, max_width)
-        scale = max(abs(cur), 1e-300)
-        change = abs(cur - prev) / scale
-        if change < rtol:
-            return cur, change
-        prev = cur
-    return prev, change

@@ -95,9 +95,6 @@ class RunConfig:
     t3: float = 1.0
     beta: float = math.inf
     m: int = 0
-    kmax: Optional[float] = None
-    points: int = 101
-    quad_order: int = 24
     out: Optional[str] = None
     format: str = "csv"
     seed: int = 0
@@ -226,15 +223,16 @@ def cmd_filters(cfg: RunConfig) -> Path:
                  ("n", "h_n", "g_n"), rows)
 
 
-def _kernel_rows(cfg: RunConfig, kind: str, mu0: float, beta0: float):
-    kmax = cfg.kmax if cfg.kmax is not None else (math.pi if kind == "lattice" else 10.0)
-    grid = np.linspace(-kmax, kmax, cfg.points)
+def _kernel_rows(cfg: RunConfig, opts: Dict[str, str], kind: str):
+    kmax = float(opts.get("kmax", math.pi if kind == "lattice" else 10.0))
+    grid = np.linspace(-kmax, kmax, int(opts.get("points", "101")))
     if kind == "lattice":
         mats = covariance_lattice(Couplings(cfg.t1, cfg.t3, cfg.beta), grid)
     elif kind == "critical-limit":
         mats = covariance_critical_limit(grid)
     else:
-        mats = covariance_massive_thermal(grid, mu0, beta0, cfg.t1)
+        mats = covariance_massive_thermal(grid, float(opts.get("mu0", "1.0")),
+                                          float(opts.get("beta0", "inf")), cfg.t1)
     rows = []
     for k, mat in zip(grid, mats):
         rows.append((float(k), float(np.sign(k)),
@@ -249,8 +247,7 @@ def cmd_kernel(cfg: RunConfig) -> Path:
     """Covariance kernel table over a symmetric momentum grid."""
     opts = dict(cfg.options)
     kind = opts.get("kind", "critical-limit")
-    rows = _kernel_rows(cfg, kind, float(opts.get("mu0", "1.0")),
-                        float(opts.get("beta0", "inf")))
+    rows = _kernel_rows(cfg, opts, kind)
     return _emit(cfg, f"kernel_{kind}.{cfg.format}",
                  ("k", "sign_k",
                   "c00_re", "c00_im", "c01_re", "c01_im",
@@ -550,9 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force t3 = t1 and beta = inf")
         p.add_argument("--m", type=int, default=0,
                        help="renormalization depth")
-        p.add_argument("--kmax", type=float, default=None)
-        p.add_argument("--points", type=int, default=101)
-        p.add_argument("--quad-order", type=int, default=24)
         p.add_argument("--out", default=None, help="output path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0)
@@ -567,6 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="critical-limit")
     p.add_argument("--mu0", type=float, default=1.0)
     p.add_argument("--beta0", type=float, default=math.inf)
+    p.add_argument("--kmax", type=float, default=None,
+                   help="grid half-width (default pi for lattice, else 10)")
+    p.add_argument("--points", type=int, default=101)
 
     p = sub.add_parser("flow", help="renormalized two-point flow table")
     common(p)
@@ -605,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _OPTION_KEYS = {
-    "kernel": ("kind", "mu0", "beta0"),
+    "kernel": ("kind", "mu0", "beta0", "kmax", "points"),
     "spincorr": ("state", "dmax", "pf_check_max", "sites", "check_exponent",
                  "mu0", "beta0"),
     "oracle": ("fixtures",),
@@ -633,9 +630,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         t3=t3,
         beta=beta,
         m=args.m,
-        kmax=args.kmax,
-        points=args.points,
-        quad_order=args.quad_order,
         out=args.out,
         format=args.format,
         seed=args.seed,

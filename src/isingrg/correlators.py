@@ -11,13 +11,19 @@ collapse further to a Toeplitz determinant of the mixed-pair symbol
 ``C3(s) = <(a_j - a*_j)(a_{j'} + a*_{j'})>`` at lag ``s = j - j'`` (the
 symbol is *not* symmetric under ``s -> -s``).
 
-Pair expectations are evaluated through the doubled-space pairing
+Every state here is translation invariant, so each pair expectation of
+string factors is one entry of the state's 2x2 lag table
+
+    P(s) = (1/2pi) Int e^{iks} W(k) C(k) dk,
+
+with the state's covariance kernel ``C`` and spectral weight ``W``:
+``a_j + a*_j`` sits in slot 0 with phase 1 and ``a_j - a*_j`` in slot 1
+with phase ``-i``.  General doubled-space vectors pair through
 
     <Psi(v1) Psi(v2)> = (1/2pi) Int w1(k)^dag C(k) conj(w2(-k)) W(k) dk,
 
-with the state's covariance kernel ``C`` and spectral weight ``W``; an
-independent four-term expansion through the scalar two-point integrals of
-:mod:`isingrg.rgflow` is provided for cross-checking.
+the oracle for the lag table; an independent four-term expansion through
+the scalar two-point integrals of :mod:`isingrg.rgflow` cross-checks it.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._quadrature import integrate
+from ._quadrature import integrate, symmetric_nodes
 from .kernels import (
     Couplings,
     SelfDualVector,
@@ -38,6 +44,8 @@ from .kernels import (
     covariance_massive_thermal,
 )
 from .rgflow import (
+    _FINEST,
+    _ORDER,
     _osc_width,
     lattice_two_point,
     limit_two_point,
@@ -53,7 +61,6 @@ __all__ = [
     "ToeplitzSymbol",
     "self_dual_two_point",
     "self_dual_two_point_expanded",
-    "pair_matrix",
     "pfaffian",
     "pfaffian_matchings",
     "spin_spin_correlation",
@@ -63,6 +70,9 @@ __all__ = [
 ]
 
 _MAX_STRING = 64
+
+# string-factor tag -> (lag-table slot, phase)
+_SLOTS = {"sum": (0, 1.0), "diff": (1, -1.0j)}
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,8 @@ class QuasiFreeState:
     mu0: float = 0.0
     beta0: float = float("inf")
     t: float = 1.0
-    _pair_cache: Dict = field(default_factory=dict, repr=False, compare=False)
+    _lag_table: Dict[int, np.ndarray] = field(default_factory=dict, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         if self.kind not in ("lattice", "renormalized", "critical_limit",
@@ -91,6 +102,9 @@ class QuasiFreeState:
             raise ValueError(f"{self.kind} state needs couplings")
         if self.kind != "lattice" and self.filt is None:
             raise ValueError(f"{self.kind} state needs a filter")
+        if self.m < 0 or int(self.m) != self.m:
+            raise ValueError("m must be a non-negative integer")
+        object.__setattr__(self, "m", int(self.m))
 
     @classmethod
     def lattice(cls, couplings: Couplings) -> "QuasiFreeState":
@@ -98,7 +112,7 @@ class QuasiFreeState:
 
     @classmethod
     def renormalized(cls, couplings: Couplings, filt: Filter, m: int) -> "QuasiFreeState":
-        return cls(kind="renormalized", couplings=couplings, filt=filt, m=int(m))
+        return cls(kind="renormalized", couplings=couplings, filt=filt, m=m)
 
     @classmethod
     def critical_limit(cls, filt: Filter) -> "QuasiFreeState":
@@ -131,7 +145,7 @@ def _state_kernel_weight(state: QuasiFreeState):
 
 
 def self_dual_two_point(state: QuasiFreeState, v1: SelfDualVector,
-                        v2: SelfDualVector, order: int = 24) -> complex:
+                        v2: SelfDualVector) -> complex:
     """Pairing ``<Psi(v1) Psi(v2)>`` through the state's covariance kernel."""
     kernel, weight, kmax = _state_kernel_weight(state)
 
@@ -141,26 +155,26 @@ def self_dual_two_point(state: QuasiFreeState, v1: SelfDualVector,
         w2 = v2.weight_conj_reflected(k)
         return weight(k) * np.einsum("ti,tij,tj->t", w1, C, w2)
 
-    return complex(integrate(f, kmax, np.pi / 64.0, order,
+    return complex(integrate(f, kmax, _FINEST, _ORDER,
                              max_width=_osc_width(v1.xi, v1.eta, v2.xi, v2.eta))
                    / (2.0 * np.pi))
 
 
-def _scalar_two_point(state: QuasiFreeState, order: int):
+def _scalar_two_point(state: QuasiFreeState):
     """The state's scalar two-point function ``(v1, v2, kind) -> complex``."""
     if state.kind == "lattice":
-        return partial(lattice_two_point, state.couplings, order=order)
+        return partial(lattice_two_point, state.couplings)
     if state.kind == "renormalized":
         return partial(renormalized_two_point, state.couplings, state.filt,
-                       state.m, order=order)
+                       state.m)
     if state.kind == "critical_limit":
-        return partial(limit_two_point, state.filt, order=order)
+        return partial(limit_two_point, state.filt)
     return partial(massive_thermal_two_point, state.filt, mu0=state.mu0,
-                   beta0=state.beta0, t=state.t, order=order)
+                   beta0=state.beta0, t=state.t)
 
 
 def self_dual_two_point_expanded(state: QuasiFreeState, v1: SelfDualVector,
-                                 v2: SelfDualVector, order: int = 24) -> complex:
+                                 v2: SelfDualVector) -> complex:
     """Independent route: expand ``Psi = a(xi - i eta) + a*(conj(xi + i eta))``
     and sum the four scalar two-point integrals."""
     p1 = SiteVector.combine(v1.xi, v1.eta, 1.0, -1.0j)
@@ -168,7 +182,7 @@ def self_dual_two_point_expanded(state: QuasiFreeState, v1: SelfDualVector,
     q1 = SiteVector.combine(v1.xi, v1.eta, 1.0, 1.0j).conj()
     q2 = SiteVector.combine(v2.xi, v2.eta, 1.0, 1.0j).conj()
 
-    tp = _scalar_two_point(state, order)
+    tp = _scalar_two_point(state)
     return (tp(p1, p2, "a_a") + tp(p1, q2, "a_adag")
             + tp(q1, p2, "adag_a") + tp(q1, q2, "adag_adag"))
 
@@ -253,18 +267,6 @@ def pfaffian(A) -> complex:
     return pf * a[n - 2, n - 1]
 
 
-def pair_matrix(state: QuasiFreeState, factors: Sequence[SelfDualVector],
-                order: int = 24) -> SkewMatrix:
-    """Skew matrix ``M[i, j] = <Psi(f_i) Psi(f_j)>`` for ``i < j``."""
-    n = len(factors)
-    M = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            M[i, j] = self_dual_two_point(state, factors[i], factors[j], order)
-            M[j, i] = -M[i, j]
-    return SkewMatrix(M)
-
-
 # ---------------------------------------------------------------------------
 # spin correlations
 
@@ -283,38 +285,47 @@ def _string_factors(pairs: Sequence[Tuple[int, int]]):
     return factors
 
 
-def _factor_vector(tag: str, site: int) -> SelfDualVector:
-    if tag == "diff":
-        return SelfDualVector.position_diff(site)
-    return SelfDualVector.position_sum(site)
+def _octave(s: int) -> int:
+    """Lag octave: 0 for ``|s| <= 1``, else ``j`` with ``2^(j-1) < |s| <= 2^j``."""
+    return max(0, abs(s) - 1).bit_length()
+
+
+def _lag_matrix(state: QuasiFreeState, s: int) -> np.ndarray:
+    """The lag table ``P(s) = (1/2pi) Int e^{iks} W(k) C(k) dk`` (2x2).
+
+    The first lag asked for in an octave samples ``W C`` once, on the nodes
+    whose panels resolve the octave's largest lag, and fills every lag of
+    the octave, one row ``exp(iks) @ sym`` at a time; so a value never
+    depends on which lags were asked for before.
+    """
+    table = state._lag_table
+    if s not in table:
+        j = _octave(s)
+        top = 1 << j
+        kernel, weight, kmax = _state_kernel_weight(state)
+        x, w = symmetric_nodes(kmax, _FINEST, _ORDER,
+                               _osc_width(SiteVector.delta(top)))
+        sym = (w * weight(x) / (2.0 * np.pi))[:, None] * kernel(x).reshape(-1, 4)
+        for lag in range(-top, top + 1):
+            if _octave(lag) == j:
+                table[lag] = (np.exp(1j * lag * x) @ sym).reshape(2, 2)
+    return table[s]
 
 
 def _tagged_two_point(state: QuasiFreeState, tag1: str, s1: int, tag2: str,
-                      s2: int, order: int) -> complex:
-    """Pair expectation of two tagged string factors, cached on the state.
-
-    Every state kind here is translation invariant, so the value depends on
-    the sites only through ``s1 - s2``; each (tags, lag) integral is
-    evaluated once per state instance and reused across string and Toeplitz
-    evaluations.
-    """
-    key = (tag1, tag2, s1 - s2, order)
-    cache = state._pair_cache
-    if key not in cache:
-        cache[key] = self_dual_two_point(
-            state, _factor_vector(tag1, s1 - s2), _factor_vector(tag2, 0),
-            order)
-    return cache[key]
+                      s2: int) -> complex:
+    """Pair expectation of two tagged string factors, read off the lag table."""
+    (a, p1), (b, p2) = _SLOTS[tag1], _SLOTS[tag2]
+    return p1 * p2 * complex(_lag_matrix(state, s1 - s2)[a, b])
 
 
-def spin_spin_correlation(state: QuasiFreeState, sites: Sequence[int],
-                          order: int = 24) -> complex:
+def spin_spin_correlation(state: QuasiFreeState, sites: Sequence[int]) -> complex:
     """Longitudinal correlation ``<prod_i s3_{sites[i]}>``.
 
     An odd number of sites gives exactly 0 (spin-flip parity); repeated
     sites contract pairwise (``s3^2 = 1``).  The remaining even product is
-    evaluated as a Pfaffian of pair expectations; translation invariance is
-    used to evaluate each (type, lag) integral once.
+    evaluated as a Pfaffian of pair expectations, each read off the state's
+    lag table.
     """
     sites = sorted(int(s) for s in sites)
     if len(sites) % 2:
@@ -333,16 +344,11 @@ def spin_spin_correlation(state: QuasiFreeState, sites: Sequence[int],
     if total > _MAX_STRING:
         raise ValueError(f"string length {total} exceeds {_MAX_STRING}")
     factors = _string_factors(pairs)
-
-    def pair_value(i: int, j: int) -> complex:
-        (tag1, s1), (tag2, s2) = factors[i], factors[j]
-        return _tagged_two_point(state, tag1, s1, tag2, s2, order)
-
     n = len(factors)
     M = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(i + 1, n):
-            M[i, j] = pair_value(i, j)
+            M[i, j] = _tagged_two_point(state, *factors[i], *factors[j])
             M[j, i] = -M[i, j]
     return pfaffian(SkewMatrix(M))
 
@@ -367,28 +373,24 @@ class ToeplitzSymbol:
         return out
 
 
-def toeplitz_symbol(state: QuasiFreeState, separation: int,
-                    order: int = 24) -> ToeplitzSymbol:
+def toeplitz_symbol(state: QuasiFreeState, separation: int) -> ToeplitzSymbol:
     """Evaluate the mixed-pair symbol for a two-site correlation."""
     d = int(separation)
     if d < 1:
         raise ValueError("separation must be >= 1")
     lags = {}
     for s in range(-d, d - 1):
-        lags[s] = _tagged_two_point(state, "diff", 0, "sum", -s, order)
+        lags[s] = _tagged_two_point(state, "diff", 0, "sum", -s)
     return ToeplitzSymbol(separation=d, lags=lags)
 
 
-def toeplitz_correlation(state: QuasiFreeState, separation: int,
-                         order: int = 24) -> complex:
+def toeplitz_correlation(state: QuasiFreeState, separation: int) -> complex:
     """Two-site correlation ``<s3_0 s3_d>`` as a Toeplitz determinant."""
-    sym = toeplitz_symbol(state, separation, order)
+    sym = toeplitz_symbol(state, separation)
     return complex(np.linalg.det(sym.matrix()))
 
 
-def transverse_field_expectation(state: QuasiFreeState, site: int = 0,
-                                 order: int = 24) -> float:
-    """``<s1_j> = 2 <a*_j a_j> - 1`` (equals ``2/pi`` in the critical limit)."""
-    dj = SiteVector.delta(site)
-    val = _scalar_two_point(state, order)(dj, dj, "adag_a")
-    return float(2.0 * np.real(val) - 1.0)
+def transverse_field_expectation(state: QuasiFreeState, site: int = 0) -> float:
+    """``<s1_j> = <(a_j + a*_j)(a_j - a*_j)>`` (``2/pi`` on the critical
+    chain), the (sum, diff) entry of the lag table at lag 0."""
+    return float(np.real(_tagged_two_point(state, "sum", site, "diff", site)))

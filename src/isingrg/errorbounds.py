@@ -27,7 +27,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, ClassVar, Iterable, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -48,9 +48,7 @@ __all__ = [
     "SupConstantsReport",
     "sup_constants",
     "covariance_deviation",
-    "SobolevNorm",
     "sobolev_norm",
-    "sobolev_report",
     "certified_components",
     "certified_bound",
     "dynamical_pairing",
@@ -59,7 +57,6 @@ __all__ = [
     "bound_report",
     "bound_sweep",
     "write_bound_sweep_csv",
-    "bracketed_factor_max",
 ]
 
 #: Fixed two-sided momentum window for every integral in this module.
@@ -253,27 +250,6 @@ def sup_constants(t0_times_t: float = 0.25, scale_exponent: int = 0, *,
 # Sobolev-weighted norms
 
 
-@dataclass(frozen=True)
-class SobolevNorm:
-    """Windowed Sobolev-weighted norm of a doubled-space smearing vector.
-
-    ``value**2 = Int (1+k^2)^order |s^(k)|^{2*weight} (|xi^|^2+|eta^|^2) dk``
-    over the fixed momentum window.
-    """
-
-    order: int
-    weight: float
-    value: float
-
-    def __post_init__(self):
-        if self.order not in (1, 2, 3, 4):
-            raise ValueError("order must be in {1, 2, 3, 4}")
-        if not (0.0 < self.weight < 1.0):
-            raise ValueError("weight exponent must lie in (0, 1)")
-        if not (self.value >= 0.0):
-            raise ValueError("norm value must be non-negative")
-
-
 @lru_cache(maxsize=256)
 def _weight_octave_ratio(filt: Filter, two_weight: float) -> float:
     """Geometric-mean top-octave mass ratio of ``|s^|^{two_weight}``."""
@@ -347,13 +323,6 @@ def sobolev_norm(v: SelfDualVector, filt: Filter, weight: float, order: int,
     return _sobolev_cached(v, filt, float(weight), int(order), int(grid_scale))
 
 
-def sobolev_report(v: SelfDualVector, filt: Filter, weight: float,
-                   order: int) -> SobolevNorm:
-    """Norm packaged with its order and weight exponent."""
-    return SobolevNorm(order=order, weight=weight,
-                       value=sobolev_norm(v, filt, weight, order))
-
-
 # ---------------------------------------------------------------------------
 # certified bound assembly
 
@@ -422,7 +391,6 @@ def _pairing_nodes(kmax: float, t0: float, t: float, resolution: float):
 
 def dynamical_pairing(side: str, m: int, t0: float, t: float,
                       v1: SelfDualVector, v2: SelfDualVector, filt: Filter, *,
-                      kmax: Optional[float] = None,
                       resolution: float = 1.0) -> complex:
     """Windowed dynamical pairing of two smeared doubled-space vectors.
 
@@ -454,8 +422,6 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
         pairing convention of the static two-point functions.
     filt : Filter
         Filter whose ``|s^|^2`` weights the integrand.
-    kmax : float, optional
-        Override for the window half-width.
     resolution : float
         Multiplier on the oscillation-panel density.
 
@@ -466,7 +432,7 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
     """
     if side not in ("renormalized", "limit"):
         raise ValueError("side must be 'renormalized' or 'limit'")
-    window = MOMENTUM_WINDOW if kmax is None else float(kmax)
+    window = MOMENTUM_WINDOW
     if side == "renormalized":
         window = min(window, (2.0 ** m) * math.pi)
     k, wq = _pairing_nodes(window, t0, t, resolution)
@@ -595,13 +561,3 @@ def write_bound_sweep_csv(path, reports: Iterable[BoundReport]) -> None:
                              repr(r.certified_bound),
                              *(repr(c) for c in r.components)])
 
-
-def bracketed_factor_max(reports: Iterable[BoundReport]) -> float:
-    """Largest bracketed norm-combination factor over a sweep.
-
-    Each certified bound is ``2^{-m} * sqrt2/(2 pi)`` times a bracketed
-    factor; the maximum over a grid certifies a uniform decay constant for
-    that grid's time horizon.
-    """
-    return max(r.certified_bound / ((2.0 ** -r.m) * _SQRT2 / (2.0 * math.pi))
-               for r in reports)

@@ -460,14 +460,14 @@ def second_quantized(w: np.ndarray) -> np.ndarray:
     basis = _fock_basis(n)
     dim = 1 << n
     G = np.zeros((dim, dim), dtype=complex)
+    # one sector at a time: G += B D B^dag, with the sector's Fock states as
+    # the columns of B and the minors D[S', S] = det(w[S', S])
     for size in range(n + 1):
         subsets = list(combinations(range(n), size))
-        for S in subsets:
-            for Sp in subsets:
-                minor = w[np.ix_(Sp, S)]
-                coeff = det(minor) if size else 1.0
-                if abs(coeff) > 1e-300:
-                    G += coeff * np.outer(basis[Sp], basis[S].conj())
+        B = np.column_stack([basis[S] for S in subsets])
+        D = np.array([[det(w[np.ix_(Sp, S)]) if size else 1.0 for S in subsets]
+                      for Sp in subsets])
+        G += B @ D @ B.conj().T
     return G
 
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -53,7 +54,6 @@ __all__ = [
     "calibrated_couplings",
     "classify_flow",
     "renormalization_isometry_defect",
-    "flow_trajectory",
 ]
 
 _KINDS = ("a_adag", "adag_adag", "a_a", "adag_a")
@@ -63,6 +63,11 @@ DISORDER_KERNEL = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
 DISORDER_KERNEL.setflags(write=False)
 ORDER_KERNEL = np.array([[1.0, -1.0j], [1.0j, 1.0]])
 ORDER_KERNEL.setflags(write=False)
+
+# Gauss-Legendre order and the innermost dyadic edge of every two-point
+# integral (the panels refine toward the kink at the origin down to _FINEST)
+_ORDER = 24
+_FINEST = np.pi / 64.0
 
 
 def _osc_width(*vectors: SiteVector) -> float:
@@ -78,14 +83,12 @@ def _osc_width(*vectors: SiteVector) -> float:
 
 
 def _pair_integral(density_ann, density_cre, weight_fn, v1: SiteVector,
-                   v2: SiteVector, kind: str, kmax: float, finest: float,
-                   order: int, max_width: float) -> complex:
+                   v2: SiteVector, kind: str, kmax: float) -> complex:
     """Shared quadrature core: (1/2pi) Int density * weight * hats."""
     if kind == "a_a":
         # <a(v1) a(v2)> = conj(<a*(v2) a*(v1)>), an operator-adjoint identity
         return complex(np.conj(_pair_integral(
-            density_ann, density_cre, weight_fn, v2, v1, "adag_adag",
-            kmax, finest, order, max_width)))
+            density_ann, density_cre, weight_fn, v2, v1, "adag_adag", kmax)))
 
     def f(k):
         w = weight_fn(k)
@@ -97,12 +100,12 @@ def _pair_integral(density_ann, density_cre, weight_fn, v1: SiteVector,
             return (1.0 - density_ann(k)) * w * np.conj(v2.hat(k)) * v1.hat(k)
         raise ValueError(f"unknown kind {kind!r}; expected one of {_KINDS}")
 
-    return complex(integrate(f, kmax, finest, order, max_width=max_width) / (2.0 * np.pi))
+    return complex(integrate(f, kmax, _FINEST, _ORDER, max_width=_osc_width(v1, v2))
+                   / (2.0 * np.pi))
 
 
 def renormalized_two_point(c: Couplings, filt: Filter, m: int, v1: SiteVector,
-                           v2: SiteVector, kind: str = "a_adag", *,
-                           order: int = 24) -> complex:
+                           v2: SiteVector, kind: str = "a_adag") -> complex:
     """Two-point function of the ``m``-times renormalized Gibbs state.
 
     The integral runs over the momentum window ``[-2^m pi, 2^m pi]`` with
@@ -133,23 +136,20 @@ def renormalized_two_point(c: Couplings, filt: Filter, m: int, v1: SiteVector,
         lambda k: annihilation_pair_density(c, k / scale),
         lambda k: creation_pair_density(c, k / scale),
         lambda k: np.abs(cascade_product(filt, k, m)) ** 2,
-        v1, v2, kind, scale * np.pi, np.pi / 64.0, order, _osc_width(v1, v2))
+        v1, v2, kind, scale * np.pi)
 
 
 def lattice_two_point(c: Couplings, v1: SiteVector, v2: SiteVector,
-                      kind: str = "a_adag", order: int = 24) -> complex:
+                      kind: str = "a_adag") -> complex:
     """Bare (un-renormalized) Gibbs two-point function; equals ``m = 0``."""
     return _pair_integral(
         lambda k: annihilation_pair_density(c, k),
         lambda k: creation_pair_density(c, k),
-        lambda k: 1.0, v1, v2, kind, np.pi, np.pi / 64.0, order,
-        _osc_width(v1, v2))
+        lambda k: 1.0, v1, v2, kind, np.pi)
 
 
 # ---------------------------------------------------------------------------
 # momentum cutoff for scaling-limit integrals
-
-_cutoff_cache: Dict[Tuple, "TailReport"] = {}
 
 
 @dataclass(frozen=True)
@@ -168,13 +168,13 @@ class TailReport:
     octave_masses: Tuple[float, ...]
 
 
+@lru_cache(maxsize=64)
 def momentum_cutoff(filt: Filter, target: float = 1e-10, cap_exp: int = 9,
                     horizon_exp: int = 12, order: int = 12) -> TailReport:
-    """Choose the |k|-cutoff for limit-state quadrature from the |s^|^2 tail."""
-    key = (tuple(np.asarray(filt.taps)), target, cap_exp, horizon_exp, order)
-    if key in _cutoff_cache:
-        return _cutoff_cache[key]
+    """Choose the |k|-cutoff for limit-state quadrature from the |s^|^2 tail.
 
+    Cached per filter contents (equal filters share an entry).
+    """
     def density(k):
         return np.abs(s_hat(filt, k)) ** 2 / np.pi  # two-sided mass density
 
@@ -197,61 +197,45 @@ def momentum_cutoff(filt: Filter, target: float = 1e-10, cap_exp: int = 9,
         tail_cap = float(masses[cap_exp:].sum() + remainder)
         best = ((2.0 ** cap_exp) * np.pi, tail_cap, False)
 
-    rep = TailReport(cutoff=best[0], tail=best[1], target=target,
-                     met=best[2], octave_masses=tuple(masses))
-    _cutoff_cache[key] = rep
-    return rep
+    return TailReport(cutoff=best[0], tail=best[1], target=target,
+                      met=best[2], octave_masses=tuple(masses))
 
 
 # ---------------------------------------------------------------------------
 # scaling-limit two-point functions
 
 
+def _limit_weight(filt: Filter):
+    return lambda k: np.abs(s_hat(filt, k)) ** 2
+
+
 def limit_two_point(filt: Filter, v1: SiteVector, v2: SiteVector,
-                    kind: str = "a_adag", kmax: Optional[float] = None,
-                    order: int = 24) -> complex:
+                    kind: str = "a_adag") -> complex:
     """Critical scaling-limit two-point function (wavelet-smeared).
 
     Pair densities are the ``m -> inf`` limits ``d_ann = 1/2`` and
-    ``d_cre = -(i/2) sign(k)``, weighted by ``|s^(k)|^2``.
+    ``d_cre = -(i/2) sign(k)``, weighted by ``|s^(k)|^2`` over the window
+    ``|k| <= momentum_cutoff(filt).cutoff``.
     """
-    if kmax is None:
-        kmax = momentum_cutoff(filt).cutoff
-
-    def weight(k):
-        return np.abs(s_hat(filt, k)) ** 2
-
     return _pair_integral(
         lambda k: np.full(np.shape(k), 0.5),
         lambda k: -0.5j * np.sign(k),
-        weight, v1, v2, kind, kmax, np.pi / 64.0, order, _osc_width(v1, v2))
+        _limit_weight(filt), v1, v2, kind, momentum_cutoff(filt).cutoff)
 
 
 def massive_thermal_two_point(filt: Filter, v1: SiteVector, v2: SiteVector,
                               kind: str = "a_adag", *, mu0: float,
-                              beta0: float, t: float = 1.0,
-                              kmax: Optional[float] = None,
-                              order: int = 24) -> complex:
-    """Massive/thermal scaling-limit two-point function (wavelet-smeared)."""
-    if kmax is None:
-        kmax = momentum_cutoff(filt).cutoff
-
-    def weight(k):
-        return np.abs(s_hat(filt, k)) ** 2
-
-    def d_ann(k):
-        return massive_pair_densities(k, mu0, beta0, t)[0]
-
-    def d_cre(k):
-        return massive_pair_densities(k, mu0, beta0, t)[1]
-
-    return _pair_integral(d_ann, d_cre, weight, v1, v2, kind, kmax,
-                          np.pi / 64.0, order, _osc_width(v1, v2))
+                              beta0: float, t: float = 1.0) -> complex:
+    """Massive/thermal scaling-limit two-point function (wavelet-smeared),
+    over the same window as :func:`limit_two_point`."""
+    return _pair_integral(
+        lambda k: massive_pair_densities(k, mu0, beta0, t)[0],
+        lambda k: massive_pair_densities(k, mu0, beta0, t)[1],
+        _limit_weight(filt), v1, v2, kind, momentum_cutoff(filt).cutoff)
 
 
 def majorana_two_point_integral(filt: Filter, v1: SiteVector, v2: SiteVector,
-                                chirality: Tuple[int, int] = (1, 1),
-                                **kwargs) -> complex:
+                                chirality: Tuple[int, int] = (1, 1)) -> complex:
     """Chiral-combination two-point function by explicit four-term expansion.
 
     The chiral fields are ``psi_s(xi) = e^{i s pi/4} a(xi) +
@@ -263,15 +247,15 @@ def majorana_two_point_integral(filt: Filter, v1: SiteVector, v2: SiteVector,
         raise ValueError("chirality components must be +-1")
     q = np.pi / 4.0
     return complex(
-        np.exp(1j * (s1 + s2) * q) * limit_two_point(filt, v1, v2, "a_a", **kwargs)
-        + np.exp(1j * (s1 - s2) * q) * limit_two_point(filt, v1, v2.conj(), "a_adag", **kwargs)
-        + np.exp(1j * (s2 - s1) * q) * limit_two_point(filt, v1.conj(), v2, "adag_a", **kwargs)
-        + np.exp(-1j * (s1 + s2) * q) * limit_two_point(filt, v1.conj(), v2.conj(), "adag_adag", **kwargs)
+        np.exp(1j * (s1 + s2) * q) * limit_two_point(filt, v1, v2, "a_a")
+        + np.exp(1j * (s1 - s2) * q) * limit_two_point(filt, v1, v2.conj(), "a_adag")
+        + np.exp(1j * (s2 - s1) * q) * limit_two_point(filt, v1.conj(), v2, "adag_a")
+        + np.exp(-1j * (s1 + s2) * q) * limit_two_point(filt, v1.conj(), v2.conj(), "adag_adag")
     )
 
 
 def majorana_two_point(filt: Filter, v1: SiteVector, v2: SiteVector,
-                       chirality: Tuple[int, int] = (1, 1), **kwargs) -> complex:
+                       chirality: Tuple[int, int] = (1, 1)) -> complex:
     """Two-point function of chiral field combinations in the critical limit.
 
     Mixed chirality vanishes identically (the cross terms cancel against the
@@ -284,7 +268,7 @@ def majorana_two_point(filt: Filter, v1: SiteVector, v2: SiteVector,
         raise ValueError("chirality components must be +-1")
     if s1 != s2:
         return 0.0 + 0.0j
-    return majorana_two_point_integral(filt, v1, v2, chirality, **kwargs)
+    return majorana_two_point_integral(filt, v1, v2, chirality)
 
 
 # ---------------------------------------------------------------------------
@@ -350,31 +334,12 @@ def classify_flow(c: Couplings, m_values: Tuple[int, ...] = (4, 8, 12),
     return FlowClassification(label=label, distances=distances, window=window)
 
 
-def renormalization_isometry_defect(filt: Filter, xi: SiteVector, m: int,
-                                    order: int = 24) -> float:
+def renormalization_isometry_defect(filt: Filter, xi: SiteVector, m: int) -> float:
     """| ||R^m xi||^2 - ||xi||^2 | for the iterated coarse-graining isometry."""
     def f(k):
         return np.abs(cascade_product(filt, k, m)) ** 2 * np.abs(xi.hat(k)) ** 2
 
-    val = integrate(f, (2.0 ** m) * np.pi, np.pi / 64.0, order,
+    val = integrate(f, (2.0 ** m) * np.pi, _FINEST, _ORDER,
                     max_width=_osc_width(xi)) / (2.0 * np.pi)
     return abs(float(val) - xi.norm_sq())
 
-
-def flow_trajectory(c: Couplings, filt: Filter, v1: SiteVector, v2: SiteVector,
-                    kind: str, m_values, reference: Optional[complex] = None,
-                    order: int = 24) -> list:
-    """Tabulate the renormalized two-point values along the flow.
-
-    Returns JSON-ready rows ``{"m", "value_re", "value_im",
-    "error_vs_limit"}``; the error column needs a ``reference`` value
-    (e.g. from :func:`limit_two_point`) and is ``None`` otherwise.
-    """
-    rows = []
-    for m in m_values:
-        val = renormalized_two_point(c, filt, int(m), v1, v2, kind, order=order)
-        row = {"m": int(m), "value_re": float(np.real(val)),
-               "value_im": float(np.imag(val)),
-               "error_vs_limit": (abs(val - reference) if reference is not None else None)}
-        rows.append(row)
-    return rows

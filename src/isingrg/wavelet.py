@@ -16,7 +16,6 @@ Conventions
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -31,7 +30,6 @@ __all__ = [
     "m0",
     "cascade_product",
     "s_hat",
-    "export_csv",
 ]
 
 _TRUNCATION_EPS = 1e-8  # remaining arguments 2^{-n} k below this are Taylor-padded
@@ -50,6 +48,9 @@ class Filter:
     taps : numpy.ndarray
         Coefficients ``h_0 .. h_{2p-1}``, summing to ``sqrt(2)``.  The filter
         keeps a read-only copy, so caches keyed on the filter cannot go stale.
+
+    Filters compare and hash by ``order`` and the bytes of their taps, so
+    equal filters share cache entries; the name is a label only.
     """
 
     name: str
@@ -67,6 +68,14 @@ class Filter:
 
     def __len__(self):
         return self.taps.size
+
+    def __eq__(self, other):
+        if not isinstance(other, Filter):
+            return NotImplemented
+        return self.order == other.order and self.taps.tobytes() == other.taps.tobytes()
+
+    def __hash__(self):
+        return hash((self.order, self.taps.tobytes()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,20 +223,3 @@ def s_hat(filt: Filter, k) -> np.ndarray:
     out *= 1.0 + _m0_prime0(filt) * (k / 2.0**depth)
     return out
 
-
-def export_csv(filt: Filter, path) -> None:
-    """Write taps as CSV with columns ``n, h_n, g_n``.
-
-    The two filters have staggered supports (``h`` on ``0..2p-1``, ``g`` on
-    ``2..2p+1``); rows cover the union with zeros outside each support.
-    """
-    g = high_pass(filt)
-    rows = []
-    for n in range(0, 2 * filt.order + 2):
-        hv = filt.taps[n] if n < filt.taps.size else 0.0
-        gv = g.taps[n - g.support_offset] if 0 <= n - g.support_offset < g.taps.size else 0.0
-        rows.append((n, repr(float(hv)), repr(float(gv))))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "h_n", "g_n"])
-        writer.writerows(rows)

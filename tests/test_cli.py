@@ -157,6 +157,24 @@ def test_value_error_exit_code(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.strip()
 
 
+def test_spincorr_rejects_negative_depth(tmp_path, monkeypatch, capsys):
+    code = run_cli(["spincorr", "--state", "renormalized", "--m", "-1",
+                    "--filter", "d4", "--t3", "0.8", "--dmax", "2",
+                    "--out", "x.csv"], monkeypatch, tmp_path)
+    assert code == 2
+    assert not (tmp_path / "x.csv").exists()
+    assert "non-negative integer" in capsys.readouterr().err
+
+
+def test_spincorr_rejects_options_it_does_not_read(tmp_path, monkeypatch):
+    # the momentum grid and quadrature order are not spincorr inputs
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["spincorr", "--kmax", "5", "--quad-order", "12",
+                 "--points", "7", "--out", "x.csv"], monkeypatch, tmp_path)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_absolute_out_ignores_outdir(tmp_path, monkeypatch):
     target = tmp_path / "abs" / "table.csv"
     target.parent.mkdir()

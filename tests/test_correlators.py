@@ -9,7 +9,7 @@ import pytest
 from isingrg.correlators import (
     QuasiFreeState,
     SkewMatrix,
-    pair_matrix,
+    _tagged_two_point,
     pfaffian,
     pfaffian_matchings,
     self_dual_two_point,
@@ -23,7 +23,7 @@ from isingrg.kernels import Couplings, SelfDualVector
 
 
 # ---------------------------------------------------------------------------
-# shared states (module scope so the per-state pair cache is reused)
+# shared states (module scope so the per-state lag table is reused)
 
 
 @pytest.fixture(scope="module")
@@ -101,15 +101,6 @@ def test_skew_matrix_validation():
         SkewMatrix(np.diag([1.0, 1.0]))
 
 
-def test_pair_matrix_is_skew_and_feeds_pfaffian(lattice_state):
-    factors = [SelfDualVector.position_diff(0), SelfDualVector.position_sum(1),
-               SelfDualVector.position_diff(1), SelfDualVector.position_sum(2)]
-    M = pair_matrix(lattice_state, factors)
-    assert M.dim == 4
-    assert np.abs(M.data + M.data.T).max() == 0.0
-    assert pfaffian(M) == pytest.approx(pfaffian_matchings(M), abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # state handles
 
@@ -123,6 +114,15 @@ def test_state_validation(d8):
         QuasiFreeState(kind="critical_limit")  # needs a filter
     st = QuasiFreeState.massive_thermal(d8, 0.5, 2.0, t=0.7)
     assert (st.kind, st.mu0, st.beta0, st.t) == ("massive_thermal", 0.5, 2.0, 0.7)
+
+
+def test_renormalized_depth_validation(d4):
+    # a depth that is not a non-negative integer is rejected, not truncated
+    c = Couplings.critical()
+    for m in (-1, 2.7):
+        with pytest.raises(ValueError, match="m must be a non-negative integer"):
+            QuasiFreeState.renormalized(c, d4, m)
+    assert QuasiFreeState.renormalized(c, d4, 2.0).m == 2
 
 
 def test_dual_route_pairings_agree(lattice_state, limit_state, d4, d8):
@@ -142,14 +142,44 @@ def test_dual_route_pairings_agree(lattice_state, limit_state, d4, d8):
 
 def test_pair_cache_reused(d8):
     st = QuasiFreeState.critical_limit(d8)
-    assert len(st._pair_cache) == 0
+    assert len(st._lag_table) == 0
     toeplitz_correlation(st, 2)
-    n1 = len(st._pair_cache)
+    n1 = len(st._lag_table)
     assert n1 > 0
     toeplitz_correlation(st, 2)
-    assert len(st._pair_cache) == n1  # warm: no new integrals
-    spin_spin_correlation(st, [0, 2])  # adds diff-diff / sum-sum tags
-    assert len(st._pair_cache) > n1
+    assert len(st._lag_table) == n1  # warm: no new integrals
+    spin_spin_correlation(st, [0, 2])  # a Pfaffian over lags already tabled
+    assert len(st._lag_table) == n1
+
+
+_FACTORS = {"sum": SelfDualVector.position_sum,
+            "diff": SelfDualVector.position_diff}
+
+
+def test_lag_table_matches_general_pairing(lattice_state, limit_state, d4, d8):
+    # every string-factor pair read off the lag table equals the general
+    # doubled-space pairing of the two position vectors
+    pairs = [(t1, t2) for t1 in _FACTORS for t2 in _FACTORS]
+    lags = range(-12, 13)
+    cheap = [lattice_state,
+             QuasiFreeState.lattice(Couplings(1.0, 0.7, 2.5)),
+             QuasiFreeState.renormalized(Couplings.critical(), d4, 3)]
+    checks = [(st, s, t1, t2) for st in cheap for s in lags for (t1, t2) in pairs]
+    # each general pairing on a d8 limit state costs a fresh |s^|^2 sample,
+    # so there every lag is checked once, the tag pair cycling through all four
+    for st in (limit_state, QuasiFreeState.massive_thermal(d8, 0.5, 2.0)):
+        checks += [(st, s, *pairs[i % 4]) for i, s in enumerate(lags)]
+    for st, s, t1, t2 in checks:
+        table = _tagged_two_point(st, t1, s, t2, 0)
+        general = self_dual_two_point(st, _FACTORS[t1](s), _FACTORS[t2](0))
+        assert abs(table - general) <= 1e-14, (st.kind, s, t1, t2)
+
+
+def test_lag_table_independent_of_request_order(d8):
+    fresh = QuasiFreeState.critical_limit(d8)
+    warmed = QuasiFreeState.critical_limit(d8)
+    toeplitz_correlation(warmed, 12)
+    assert toeplitz_correlation(fresh, 3) == toeplitz_correlation(warmed, 3)
 
 
 # ---------------------------------------------------------------------------

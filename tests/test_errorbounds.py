@@ -12,19 +12,18 @@ from isingrg.errorbounds import (
     BoundReport,
     InadmissibleFilterError,
     OscillationResolutionError,
-    SobolevNorm,
     bound_report,
     bound_sweep,
-    bracketed_factor_max,
     certified_bound,
     certified_components,
     covariance_deviation,
     dynamical_pairing,
     empirical_error,
     sobolev_norm,
-    sobolev_report,
     sup_constants,
     write_bound_sweep_csv,
+    _sobolev_cached,
+    _weight_octave_ratio,
 )
 from isingrg.kernels import SelfDualVector
 from isingrg.wavelet import make_daubechies_filter
@@ -121,11 +120,17 @@ def test_sobolev_validation(d8):
         sobolev_norm(V_SUM0, d8, 0.0, 1)
     with pytest.raises(ValueError):
         sobolev_norm(V_SUM0, d8, 1.0, 1)
-    with pytest.raises(ValueError):
-        SobolevNorm(order=2, weight=0.5, value=-1.0)
-    rep = sobolev_report(V_SUM0, d8, 0.5, 2)
-    assert (rep.order, rep.weight) == (2, 0.5)
-    assert rep.value == pytest.approx(sobolev_norm(V_SUM0, d8, 0.5, 2))
+
+
+def test_equal_filters_share_sobolev_caches():
+    first, second = make_daubechies_filter(3), make_daubechies_filter(3)
+    assert first is not second and first == second
+    sobolev_norm(V_SUM0, first, 0.55, 3)
+    hits = (_sobolev_cached.cache_info().hits,
+            _weight_octave_ratio.cache_info().hits)
+    sobolev_norm(V_SUM0, second, 0.55, 3)
+    assert _sobolev_cached.cache_info().hits == hits[0] + 1
+    assert _weight_octave_ratio.cache_info().hits == hits[1] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +295,3 @@ def test_bound_sweep_csv_roundtrip(tmp_path, small_sweep):
         assert float(row[3]) == rep.certified_bound
         assert tuple(float(x) for x in row[4:]) == rep.components
 
-
-def test_bracketed_factor_max(small_sweep):
-    manual = max(r.certified_bound / ((2.0 ** -r.m) * math.sqrt(2.0)
-                                      / (2.0 * math.pi))
-                 for r in small_sweep)
-    assert bracketed_factor_max(small_sweep) == pytest.approx(manual, rel=1e-15)

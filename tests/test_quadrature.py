@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from isingrg._quadrature import (
     dyadic_edges,
     integrate,
-    integrate_adaptive,
     panel_nodes,
     symmetric_nodes,
 )
@@ -76,21 +75,6 @@ def test_integrate_deterministic():
     a = integrate(f, 20.0, 1e-5, order=14)
     b = integrate(f, 20.0, 1e-5, order=14)
     assert a == b
-
-
-def test_adaptive_converges():
-    val, change = integrate_adaptive(lambda k: 1.0 / (1 + k * k), 100.0, 1e-4,
-                                     order=8, rtol=1e-10)
-    assert change < 1e-10
-    assert val == pytest.approx(2 * math.atan(100.0), rel=1e-9)
-
-
-def test_adaptive_reports_nonconvergence():
-    # An oscillation far beyond the node density stalls node doubling.
-    f = lambda k: np.cos(400.0 * k)
-    _, change = integrate_adaptive(f, math.pi, 0.5, order=2, rtol=1e-14,
-                                   max_doublings=2)
-    assert change > 1e-10
 
 
 @settings(max_examples=40, deadline=None)

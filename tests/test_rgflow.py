@@ -12,7 +12,6 @@ from isingrg.rgflow import (
     ORDER_KERNEL,
     calibrated_couplings,
     classify_flow,
-    flow_trajectory,
     lattice_two_point,
     limit_two_point,
     majorana_two_point,
@@ -22,6 +21,7 @@ from isingrg.rgflow import (
     renormalization_isometry_defect,
     renormalized_two_point,
 )
+from isingrg.wavelet import make_daubechies_filter
 
 DELTA0 = SiteVector.delta(0)
 DELTA1 = SiteVector.delta(1)
@@ -103,6 +103,12 @@ def test_cutoff_unmet_for_haar(haar):
     np.testing.assert_allclose(ratios[-4:], 0.5, atol=0.05)
 
 
+def test_cutoff_cache_bounded_and_shared(d8):
+    # equal filters share one bounded cache entry
+    assert momentum_cutoff.cache_info().maxsize is not None
+    assert momentum_cutoff(make_daubechies_filter(4)) is momentum_cutoff(d8)
+
+
 # ---------------------------------------------------------------------------
 # scaling-limit states
 
@@ -163,16 +169,6 @@ def test_critical_flow_converges(d4):
 def test_isometry_defect_small(d8):
     for m in (2, 5):
         assert renormalization_isometry_defect(d8, DELTA0, m) < 1e-6
-
-
-def test_flow_trajectory_rows(d4):
-    c = Couplings.critical()
-    ref = limit_two_point(d4, DELTA0, DELTA0, "a_adag")
-    rows = flow_trajectory(c, d4, DELTA0, DELTA0, "a_adag", (2, 4), reference=ref)
-    assert [r["m"] for r in rows] == [2, 4]
-    assert rows[0]["error_vs_limit"] > rows[1]["error_vs_limit"]
-    rows_no_ref = flow_trajectory(c, d4, DELTA0, DELTA0, "a_adag", (2,))
-    assert rows_no_ref[0]["error_vs_limit"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from isingrg.wavelet import (
     Filter,
     cascade_product,
-    export_csv,
     high_pass,
     m0,
     make_daubechies_filter,
@@ -193,23 +192,3 @@ def test_taps_are_a_read_only_copy(d4):
     mine[0] = 0.0
     assert filt.taps[0] == d4.taps[0]
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def test_export_csv_round_trip(tmp_path, d4):
-    path = tmp_path / "taps.csv"
-    export_csv(d4, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "n,h_n,g_n"
-    assert len(rows) == 1 + 2 * d4.order + 2
-    g = high_pass(d4)
-    parsed = [row.split(",") for row in rows[1:]]
-    for n, h_str, g_str in parsed:
-        n = int(n)
-        hv = d4.taps[n] if n < d4.taps.size else 0.0
-        off = n - g.support_offset
-        gv = g.taps[off] if 0 <= off < g.taps.size else 0.0
-        assert float(h_str) == float(hv)
-        assert float(g_str) == float(gv)
