@@ -9,8 +9,9 @@ Subpackage map
     One-particle Hamiltonian and quasi-free covariance kernels (lattice
     Gibbs, critical and massive/thermal scaling limits).
 ``rgflow``
-    Renormalized two-point flow, momentum window selection, fixed-point
-    classification, coupling calibration.
+    Quasi-free states and their lag tables, the two-point functions read
+    off them (renormalized flow and scaling limits), momentum window
+    selection, fixed-point classification, coupling calibration.
 ``correlators``
     Pfaffian and Toeplitz spin correlators of the quasi-free states.
 ``errorbounds``

@@ -76,6 +76,17 @@ def symmetric_nodes(kmax: float, finest: float, order: int, max_width: float = n
     return nodes, weights
 
 
+def symmetric_node_blocks(kmax: float, finest: float, order: int,
+                          max_width: float, block: int):
+    """The nodes/weights of :func:`symmetric_nodes` in blocks of at most
+    ``block`` nodes: a run of panels on (0, kmax] and its mirror image."""
+    e = dyadic_edges(kmax, finest, max_width)
+    step = max(1, block // (2 * order))
+    for i in range(0, len(e) - 1, step):
+        xp, wp = panel_nodes(e[i:i + step + 1], order)
+        yield np.concatenate([-xp, xp]), np.concatenate([wp, wp])
+
+
 def integrate(f, kmax: float, finest: float, order: int = 20, symmetric: bool = True,
               max_width: float = np.pi):
     """Integrate a vectorized integrand over [-kmax, kmax] (or [0, kmax])."""

@@ -15,7 +15,7 @@ Subcommands
     Pfaffian-versus-Toeplitz diagnostics.
 ``oracle``
     Exact small-torus partition cross-checks (transfer, tensor, brute
-    force).
+    force), or the golden fixture JSON.
 ``verify``
     Invariant suites; pass/fail JSON report, exit 0 iff everything passed.
 
@@ -333,18 +333,12 @@ def cmd_spincorr(cfg: RunConfig) -> Path:
 
 
 def cmd_oracle(cfg: RunConfig) -> Path:
-    """Partition-function cross-check table on small tori."""
-    opts = dict(cfg.options)
-    if "fixtures" in opts:
-        path = Path(opts["fixtures"])
-        outdir = os.environ.get("ISINGRG_OUTDIR")
-        if outdir and not path.is_absolute():
-            path = Path(outdir) / path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fixtures = export_fixtures(str(path) + ".tmp")
+    """Partition-function cross-check table on small tori, or (``fixtures``)
+    the golden oracle values as JSON."""
+    if dict(cfg.options).get("fixtures") == "1":
+        path = _resolve_path(cfg, "fixtures.json")
         payload = {"version": __version__, "config": cfg.to_mapping(),
-                   "fixtures": fixtures}
-        os.remove(str(path) + ".tmp")
+                   "fixtures": export_fixtures()}
         _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
         return path
     shapes = ((1, 2), (2, 2), (2, 3))
@@ -536,26 +530,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "renormalization engine.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def add(name: str, summary: str, *flags) -> argparse.ArgumentParser:
+        """A subcommand with the flag groups it reads, plus ``--out``."""
+        p = sub.add_parser(name, help=summary)
+        for group in flags:
+            group(p)
+        p.add_argument("--out", default=None, help="output path")
+        return p
+
+    def filter_flag(p):
         p.add_argument("--filter", type=_parse_filter, default=8,
                        dest="filter_taps",
                        help="filter name: haar or d<taps>, d2..d20 (default d8)")
+
+    def coupling_flags(p):
         p.add_argument("--t1", type=float, default=1.0)
         p.add_argument("--t3", type=float, default=1.0)
         p.add_argument("--beta", type=float, default=math.inf)
         p.add_argument("--critical", action="store_true",
                        help="force t3 = t1 and beta = inf")
-        p.add_argument("--m", type=int, default=0,
-                       help="renormalization depth")
-        p.add_argument("--out", default=None, help="output path")
+
+    def depth_flag(p):
+        p.add_argument("--m", type=int, default=0, help="renormalization depth")
+
+    def format_flag(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("filters", help="filter tap table")
-    common(p)
+    add("filters", "filter tap table", filter_flag, format_flag)
 
-    p = sub.add_parser("kernel", help="covariance kernel table")
-    common(p)
+    p = add("kernel", "covariance kernel table", coupling_flags, format_flag)
     p.add_argument("--kind",
                    choices=("lattice", "critical-limit", "massive-thermal"),
                    default="critical-limit")
@@ -565,11 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid half-width (default pi for lattice, else 10)")
     p.add_argument("--points", type=int, default=101)
 
-    p = sub.add_parser("flow", help="renormalized two-point flow table")
-    common(p)
+    model = (filter_flag, coupling_flags, depth_flag, format_flag)
+    add("flow", "renormalized two-point flow table", *model)
 
-    p = sub.add_parser("spincorr", help="spin correlator table")
-    common(p)
+    p = add("spincorr", "spin correlator table", *model)
     p.add_argument("--state",
                    choices=("lattice", "renormalized", "critical-limit",
                             "massive-thermal"),
@@ -583,13 +585,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu0", type=float, default=1.0)
     p.add_argument("--beta0", type=float, default=math.inf)
 
-    p = sub.add_parser("oracle", help="exact torus cross-checks")
-    common(p)
-    p.add_argument("--fixtures", default=None,
-                   help="write the golden fixture JSON to this path instead")
+    p = add("oracle", "exact torus cross-checks", format_flag)
+    p.add_argument("--fixtures", action="store_true",
+                   help="write the golden fixture JSON instead")
 
-    p = sub.add_parser("verify", help="invariant suites, exit 0 iff pass")
-    common(p)
+    p = add("verify", "invariant suites, exit 0 iff pass", filter_flag)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suite",
                    choices=("all", "wavelet", "kernels", "rgflow",
                             "correlators", "errorbounds", "oracle"),
@@ -611,8 +612,15 @@ _OPTION_KEYS = {
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    t3 = args.t1 if args.critical else args.t3
-    beta = math.inf if args.critical else args.beta
+    """The run configuration; fields a command has no flag for keep their
+    defaults (``verify`` always writes JSON)."""
+    fields = {k: v for k, v in vars(args).items()
+              if k in ("filter_taps", "t1", "t3", "beta", "m", "out", "format",
+                       "seed")}
+    if getattr(args, "critical", False):
+        fields["t3"], fields["beta"] = args.t1, math.inf
+    if args.command == "verify":
+        fields["format"] = "json"
     options = []
     for key in _OPTION_KEYS.get(args.command, ()):
         val = getattr(args, key, None)
@@ -623,18 +631,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         elif isinstance(val, float) and math.isinf(val):
             val = "inf"
         options.append((key, str(val)))
-    return RunConfig(
-        command=args.command,
-        filter_taps=args.filter_taps,
-        t1=args.t1,
-        t3=t3,
-        beta=beta,
-        m=args.m,
-        out=args.out,
-        format=args.format,
-        seed=args.seed,
-        options=tuple(sorted(options)),
-    )
+    return RunConfig(command=args.command, options=tuple(sorted(options)),
+                     **fields)
 
 
 _TABLE_COMMANDS = {

@@ -12,48 +12,41 @@ collapse further to a Toeplitz determinant of the mixed-pair symbol
 symbol is *not* symmetric under ``s -> -s``).
 
 Every state here is translation invariant, so each pair expectation of
-string factors is one entry of the state's 2x2 lag table
+string factors is one entry of the state's 2x2 lag table (built and cached
+in :mod:`isingrg.rgflow`)
 
     P(s) = (1/2pi) Int e^{iks} W(k) C(k) dk,
 
 with the state's covariance kernel ``C`` and spectral weight ``W``:
 ``a_j + a*_j`` sits in slot 0 with phase 1 and ``a_j - a*_j`` in slot 1
-with phase ``-i``.  General doubled-space vectors pair through
+with phase ``-i``.  The direct quadrature of general doubled-space vectors,
 
     <Psi(v1) Psi(v2)> = (1/2pi) Int w1(k)^dag C(k) conj(w2(-k)) W(k) dk,
 
-the oracle for the lag table; an independent four-term expansion through
-the scalar two-point integrals of :mod:`isingrg.rgflow` cross-checks it.
+is the lag table's oracle; the four-term expansion into the scalar
+two-point functions of :mod:`isingrg.rgflow`, which read the lag table,
+cross-checks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ._quadrature import integrate, symmetric_nodes
-from .kernels import (
-    Couplings,
-    SelfDualVector,
-    SiteVector,
-    covariance_critical_limit,
-    covariance_lattice,
-    covariance_massive_thermal,
-)
+from ._quadrature import integrate
+from .kernels import SelfDualVector, SiteVector
 from .rgflow import (
     _FINEST,
     _ORDER,
+    QuasiFreeState,
+    _lag_matrix,
     _osc_width,
-    lattice_two_point,
-    limit_two_point,
-    massive_thermal_two_point,
-    momentum_cutoff,
-    renormalized_two_point,
+    _state_kernel_weight,
+    _two_point,
 )
-from .wavelet import Filter, cascade_product, s_hat
 
 __all__ = [
     "QuasiFreeState",
@@ -75,75 +68,6 @@ _MAX_STRING = 64
 _SLOTS = {"sum": (0, 1.0), "diff": (1, -1.0j)}
 
 
-@dataclass(frozen=True)
-class QuasiFreeState:
-    """Handle naming one of the translation-invariant quasi-free states.
-
-    Kinds: ``lattice`` (Gibbs state of the chain), ``renormalized``
-    (``m``-step coarse-grained Gibbs state), ``critical_limit`` and
-    ``massive_thermal`` (wavelet-smeared scaling limits).
-    """
-
-    kind: str
-    couplings: Optional[Couplings] = None
-    filt: Optional[Filter] = None
-    m: int = 0
-    mu0: float = 0.0
-    beta0: float = float("inf")
-    t: float = 1.0
-    _lag_table: Dict[int, np.ndarray] = field(default_factory=dict, repr=False,
-                                              compare=False)
-
-    def __post_init__(self):
-        if self.kind not in ("lattice", "renormalized", "critical_limit",
-                             "massive_thermal"):
-            raise ValueError(f"unknown state kind {self.kind!r}")
-        if self.kind in ("lattice", "renormalized") and self.couplings is None:
-            raise ValueError(f"{self.kind} state needs couplings")
-        if self.kind != "lattice" and self.filt is None:
-            raise ValueError(f"{self.kind} state needs a filter")
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError("m must be a non-negative integer")
-        object.__setattr__(self, "m", int(self.m))
-
-    @classmethod
-    def lattice(cls, couplings: Couplings) -> "QuasiFreeState":
-        return cls(kind="lattice", couplings=couplings)
-
-    @classmethod
-    def renormalized(cls, couplings: Couplings, filt: Filter, m: int) -> "QuasiFreeState":
-        return cls(kind="renormalized", couplings=couplings, filt=filt, m=m)
-
-    @classmethod
-    def critical_limit(cls, filt: Filter) -> "QuasiFreeState":
-        return cls(kind="critical_limit", filt=filt)
-
-    @classmethod
-    def massive_thermal(cls, filt: Filter, mu0: float, beta0: float,
-                        t: float = 1.0) -> "QuasiFreeState":
-        return cls(kind="massive_thermal", filt=filt, mu0=mu0, beta0=beta0, t=t)
-
-
-def _state_kernel_weight(state: QuasiFreeState):
-    """Return (kernel(k), weight(k), kmax) for the pairing integral."""
-    if state.kind == "lattice":
-        c = state.couplings
-        return (lambda k: covariance_lattice(c, k),
-                lambda k: np.ones(np.shape(k)), np.pi)
-    if state.kind == "renormalized":
-        c, f, m = state.couplings, state.filt, state.m
-        scale = 2.0 ** m
-        return (lambda k: covariance_lattice(c, k / scale),
-                lambda k: np.abs(cascade_product(f, k, m)) ** 2, scale * np.pi)
-    if state.kind == "critical_limit":
-        f = state.filt
-        return (covariance_critical_limit,
-                lambda k: np.abs(s_hat(f, k)) ** 2, momentum_cutoff(f).cutoff)
-    f, mu0, beta0, t = state.filt, state.mu0, state.beta0, state.t
-    return (lambda k: covariance_massive_thermal(k, mu0, beta0, t),
-            lambda k: np.abs(s_hat(f, k)) ** 2, momentum_cutoff(f).cutoff)
-
-
 def self_dual_two_point(state: QuasiFreeState, v1: SelfDualVector,
                         v2: SelfDualVector) -> complex:
     """Pairing ``<Psi(v1) Psi(v2)>`` through the state's covariance kernel."""
@@ -160,29 +84,16 @@ def self_dual_two_point(state: QuasiFreeState, v1: SelfDualVector,
                    / (2.0 * np.pi))
 
 
-def _scalar_two_point(state: QuasiFreeState):
-    """The state's scalar two-point function ``(v1, v2, kind) -> complex``."""
-    if state.kind == "lattice":
-        return partial(lattice_two_point, state.couplings)
-    if state.kind == "renormalized":
-        return partial(renormalized_two_point, state.couplings, state.filt,
-                       state.m)
-    if state.kind == "critical_limit":
-        return partial(limit_two_point, state.filt)
-    return partial(massive_thermal_two_point, state.filt, mu0=state.mu0,
-                   beta0=state.beta0, t=state.t)
-
-
 def self_dual_two_point_expanded(state: QuasiFreeState, v1: SelfDualVector,
                                  v2: SelfDualVector) -> complex:
-    """Independent route: expand ``Psi = a(xi - i eta) + a*(conj(xi + i eta))``
-    and sum the four scalar two-point integrals."""
+    """Expand ``Psi = a(xi - i eta) + a*(conj(xi + i eta))`` and sum the
+    four scalar two-point functions, each read off the lag table."""
     p1 = SiteVector.combine(v1.xi, v1.eta, 1.0, -1.0j)
     p2 = SiteVector.combine(v2.xi, v2.eta, 1.0, -1.0j)
     q1 = SiteVector.combine(v1.xi, v1.eta, 1.0, 1.0j).conj()
     q2 = SiteVector.combine(v2.xi, v2.eta, 1.0, 1.0j).conj()
 
-    tp = _scalar_two_point(state)
+    tp = partial(_two_point, state)
     return (tp(p1, p2, "a_a") + tp(p1, q2, "a_adag")
             + tp(q1, p2, "adag_a") + tp(q1, q2, "adag_adag"))
 
@@ -283,33 +194,6 @@ def _string_factors(pairs: Sequence[Tuple[int, int]]):
             factors.append(("diff", l))
             factors.append(("sum", l + 1))
     return factors
-
-
-def _octave(s: int) -> int:
-    """Lag octave: 0 for ``|s| <= 1``, else ``j`` with ``2^(j-1) < |s| <= 2^j``."""
-    return max(0, abs(s) - 1).bit_length()
-
-
-def _lag_matrix(state: QuasiFreeState, s: int) -> np.ndarray:
-    """The lag table ``P(s) = (1/2pi) Int e^{iks} W(k) C(k) dk`` (2x2).
-
-    The first lag asked for in an octave samples ``W C`` once, on the nodes
-    whose panels resolve the octave's largest lag, and fills every lag of
-    the octave, one row ``exp(iks) @ sym`` at a time; so a value never
-    depends on which lags were asked for before.
-    """
-    table = state._lag_table
-    if s not in table:
-        j = _octave(s)
-        top = 1 << j
-        kernel, weight, kmax = _state_kernel_weight(state)
-        x, w = symmetric_nodes(kmax, _FINEST, _ORDER,
-                               _osc_width(SiteVector.delta(top)))
-        sym = (w * weight(x) / (2.0 * np.pi))[:, None] * kernel(x).reshape(-1, 4)
-        for lag in range(-top, top + 1):
-            if _octave(lag) == j:
-                table[lag] = (np.exp(1j * lag * x) @ sym).reshape(2, 2)
-    return table[s]
 
 
 def _tagged_two_point(state: QuasiFreeState, tag1: str, s1: int, tag2: str,

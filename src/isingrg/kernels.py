@@ -16,13 +16,9 @@ with eigenvalues ``+-2|z(theta)|``.  The Gibbs covariance is
 ``[0, 2]``.  At removable points (``|z| = 0``, and ``k = 0`` in the scaling
 limits) the off-diagonal part is defined as 0, matching ``sign(0) = 0``.
 
-Scalar pair densities drive the renormalization-group integrals:
-
-    <a(xi) a*(eta)>  = (1/2pi) Int d_ann(theta) conj(xi^(theta)) eta^(theta) dtheta,
-    <a*(xi) a*(eta)> = (1/2pi) Int d_cre(theta) xi^(-theta) eta^(theta) dtheta,
-
-with ``d_ann = (1 - Re(z/|z|) T)/2`` and ``d_cre = (i/2) Im(z/|z|) T``;
-the remaining two-point functions follow from the anticommutation relations.
+Two-point functions of a state pair doubled-space weights through its
+covariance kernel; :mod:`isingrg.rgflow` reads them all off one lag table
+per state.
 """
 
 from __future__ import annotations
@@ -43,9 +39,6 @@ __all__ = [
     "gibbs_covariance",
     "covariance_critical_limit",
     "covariance_massive_thermal",
-    "annihilation_pair_density",
-    "creation_pair_density",
-    "massive_pair_densities",
 ]
 
 _EPS_Z = 1e-300  # |z| below this is treated as an exact removable zero
@@ -284,30 +277,3 @@ def covariance_massive_thermal(k, mu0: float, beta0: float, t: float = 1.0) -> n
     out[..., 0, 1] = 1j * np.conj(dirn)
     out[..., 1, 0] = -1j * dirn
     return out
-
-
-def annihilation_pair_density(c: Couplings, theta) -> np.ndarray:
-    """Density of ``<a(xi) a*(eta)>`` against ``conj(xi^) eta^ / 2pi``."""
-    pt = _phase_t(c, theta)
-    return 0.5 * (1.0 - np.real(pt))
-
-
-def creation_pair_density(c: Couplings, theta) -> np.ndarray:
-    """Density of ``<a*(xi) a*(eta)>`` against ``xi^(-theta) eta^(theta) / 2pi``."""
-    pt = _phase_t(c, theta)
-    return 0.5j * np.imag(pt)
-
-
-def massive_pair_densities(k, mu0: float, beta0: float, t: float = 1.0):
-    """Scaling-limit pair densities ``(d_ann, d_cre)`` before |s^(k)|^2 weighting.
-
-    ``d_ann = (1 - (mu0/omega) tanh(beta0 t omega))/2``,
-    ``d_cre = -(i/2) (k/omega) tanh(beta0 t omega)``.
-    """
-    kk = np.asarray(k, dtype=float)
-    omega = np.hypot(mu0, kk)
-    tt = _tanh_beta(math.inf if math.isinf(beta0) else beta0 * t, omega)
-    safe = np.where(omega > _EPS_Z, omega, 1.0)
-    frac_m = np.where(omega > _EPS_Z, mu0 / safe * tt, 0.0)
-    frac_k = np.where(omega > _EPS_Z, kk / safe * tt, 0.0)
-    return 0.5 * (1.0 - frac_m), -0.5j * frac_k

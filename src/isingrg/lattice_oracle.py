@@ -25,7 +25,6 @@ it gives the spin basis vector with sign ``(-1)^{sum j_i}`` (0-based).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -578,8 +577,9 @@ def finite_flow(filt: Filter, n_start: int, steps: int, t1: float, t3: float,
 # frozen fixtures
 
 
-def export_fixtures(path: str) -> dict:
-    """Write golden oracle values (partition sums, correlations, channels)."""
+def export_fixtures() -> dict:
+    """Golden oracle values (partition sums, correlations, channels), as
+    ``isingrg oracle --fixtures`` writes them."""
     from .wavelet import make_daubechies_filter
 
     fixtures: dict = {"partition": [], "correlation": [], "disentangler": {}}
@@ -597,6 +597,4 @@ def export_fixtures(path: str) -> dict:
         f = make_daubechies_filter(p)
         fixtures["disentangler"][f"db{p}_L{L}"] = \
             disentangler_matrix(f, L).tolist()
-    with open(path, "w") as fh:
-        json.dump(fixtures, fh, indent=1, sort_keys=True)
     return fixtures

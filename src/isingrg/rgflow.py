@@ -2,17 +2,25 @@
 
 One coarse-graining step maps the fermion lattice algebra into itself along
 the low-pass branch of a wavelet filter bank; ``m`` iterated steps pull the
-Gibbs two-point functions back through the cascade.  In momentum form the
-renormalized pair functions are
+Gibbs state back through the cascade.  Every state here is quasi-free and
+translation invariant, so each two-point function of lattice-supported
+vectors is a finite sum over the state's 2x2 lag table
 
-    <a(xi) a*(eta)>_m  = (1/2pi) Int_{|k|<2^m pi} d_ann(2^-m k) W_m(k)
-                          conj(xi^(k)) eta^(k) dk,
-    <a*(xi) a*(eta)>_m = (1/2pi) Int  d_cre(2^-m k) W_m(k) xi^(-k) eta^(k) dk,
+    P(s) = (1/2pi) Int e^{iks} W(k) C(k) dk,
 
-with the cascade weight ``W_m(k) = prod_{n=1..m} |m0(2^-n k)|^2`` and the
-pair densities of :mod:`isingrg.kernels`.  As ``m`` grows, ``W_m`` converges
-to ``|s^(k)|^2`` and the densities to their scaling-limit values, giving the
-critical and massive/thermal limit states; the error decays like ``2^-m``.
+with the covariance kernel ``C`` of :mod:`isingrg.kernels` and the spectral
+weight ``W``: 1 on ``[-pi, pi]`` for the lattice Gibbs state, the cascade
+weight ``W_m(k) = prod_{n=1..m} |m0(2^-n k)|^2`` on ``|k| < 2^m pi`` (kernel
+taken at ``2^-m k``) for the ``m``-times renormalized state, and ``|s^(k)|^2``
+up to :func:`momentum_cutoff` for the critical and massive/thermal limits.
+A doubled-space vector with site weights ``w_j = (xi_j, eta_j)`` pairs as
+
+    <Psi(v1) Psi(v2)> = sum_{j,l} conj(w1_j)^T P(j - l) conj(w2_l),
+
+and the scalar kinds take ``a(v) = Psi(from_annihilator(v))`` and
+``a*(v) = Psi(from_creator(conj v))``.  As ``m`` grows, ``W_m`` converges to
+``|s^(k)|^2`` and the kernel to its scaling limit; the error decays like
+``2^-m``.
 
 Coupling trajectories are classified by ``1 - t3/t1``: positive flows to the
 disorder fixed point, negative to the order fixed point, zero is critical.
@@ -23,25 +31,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ._quadrature import integrate, octave_nodes
+from ._quadrature import integrate, octave_nodes, symmetric_node_blocks
 from .kernels import (
     Couplings,
+    SelfDualVector,
     SiteVector,
-    annihilation_pair_density,
     covariance_critical_limit,
     covariance_lattice,
-    creation_pair_density,
-    massive_pair_densities,
+    covariance_massive_thermal,
 )
 from .wavelet import Filter, cascade_product, s_hat
 
 __all__ = [
     "DISORDER_KERNEL",
     "ORDER_KERNEL",
+    "QuasiFreeState",
     "TailReport",
     "FlowClassification",
     "momentum_cutoff",
@@ -68,6 +77,8 @@ ORDER_KERNEL.setflags(write=False)
 # integral (the panels refine toward the kink at the origin down to _FINEST)
 _ORDER = 24
 _FINEST = np.pi / 64.0
+# nodes per block when a lag octave samples W C (bounds the sample's memory)
+_BLOCK = 1 << 15
 
 
 def _osc_width(*vectors: SiteVector) -> float:
@@ -79,37 +90,157 @@ def _osc_width(*vectors: SiteVector) -> float:
 
 
 # ---------------------------------------------------------------------------
-# renormalized (finite-m) two-point functions
+# quasi-free states and their lag tables
 
 
-def _pair_integral(density_ann, density_cre, weight_fn, v1: SiteVector,
-                   v2: SiteVector, kind: str, kmax: float) -> complex:
-    """Shared quadrature core: (1/2pi) Int density * weight * hats."""
-    if kind == "a_a":
-        # <a(v1) a(v2)> = conj(<a*(v2) a*(v1)>), an operator-adjoint identity
-        return complex(np.conj(_pair_integral(
-            density_ann, density_cre, weight_fn, v2, v1, "adag_adag", kmax)))
+@dataclass(frozen=True)
+class QuasiFreeState:
+    """Handle naming one of the translation-invariant quasi-free states.
 
-    def f(k):
-        w = weight_fn(k)
-        if kind == "a_adag":
-            return density_ann(k) * w * np.conj(v1.hat(k)) * v2.hat(k)
-        if kind == "adag_adag":
-            return density_cre(k) * w * v1.hat(-k) * v2.hat(k)
-        if kind == "adag_a":
-            return (1.0 - density_ann(k)) * w * np.conj(v2.hat(k)) * v1.hat(k)
+    Kinds: ``lattice`` (Gibbs state of the chain), ``renormalized``
+    (``m``-step coarse-grained Gibbs state), ``critical_limit`` and
+    ``massive_thermal`` (wavelet-smeared scaling limits, the latter with
+    ``beta0`` in ``(0, inf]`` and ``t > 0``).  States compare and hash by
+    value, so equal states share lag-table entries.
+    """
+
+    kind: str
+    couplings: Optional[Couplings] = None
+    filt: Optional[Filter] = None
+    m: int = 0
+    mu0: float = 0.0
+    beta0: float = float("inf")
+    t: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("lattice", "renormalized", "critical_limit",
+                             "massive_thermal"):
+            raise ValueError(f"unknown state kind {self.kind!r}")
+        if self.kind in ("lattice", "renormalized") and self.couplings is None:
+            raise ValueError(f"{self.kind} state needs couplings")
+        if self.kind != "lattice" and self.filt is None:
+            raise ValueError(f"{self.kind} state needs a filter")
+        if self.m < 0 or int(self.m) != self.m:
+            raise ValueError("m must be a non-negative integer")
+        if not (self.beta0 > 0):
+            raise ValueError("beta0 must be positive (math.inf allowed)")
+        if not (self.t > 0):
+            raise ValueError("t must be positive")
+        object.__setattr__(self, "m", int(self.m))
+
+    @classmethod
+    def lattice(cls, couplings: Couplings) -> "QuasiFreeState":
+        return cls(kind="lattice", couplings=couplings)
+
+    @classmethod
+    def renormalized(cls, couplings: Couplings, filt: Filter, m: int) -> "QuasiFreeState":
+        return cls(kind="renormalized", couplings=couplings, filt=filt, m=m)
+
+    @classmethod
+    def critical_limit(cls, filt: Filter) -> "QuasiFreeState":
+        return cls(kind="critical_limit", filt=filt)
+
+    @classmethod
+    def massive_thermal(cls, filt: Filter, mu0: float, beta0: float,
+                        t: float = 1.0) -> "QuasiFreeState":
+        return cls(kind="massive_thermal", filt=filt, mu0=mu0, beta0=beta0, t=t)
+
+
+def _state_kernel_weight(state: QuasiFreeState):
+    """Return (kernel(k), weight(k), kmax) of the state's pairing integral."""
+    if state.kind == "lattice":
+        c = state.couplings
+        return (lambda k: covariance_lattice(c, k),
+                lambda k: np.ones(np.shape(k)), np.pi)
+    if state.kind == "renormalized":
+        c, f, m = state.couplings, state.filt, state.m
+        scale = 2.0 ** m
+        return (lambda k: covariance_lattice(c, k / scale),
+                lambda k: np.abs(cascade_product(f, k, m)) ** 2, scale * np.pi)
+    if state.kind == "critical_limit":
+        f = state.filt
+        return (covariance_critical_limit,
+                lambda k: np.abs(s_hat(f, k)) ** 2, momentum_cutoff(f).cutoff)
+    f, mu0, beta0, t = state.filt, state.mu0, state.beta0, state.t
+    return (lambda k: covariance_massive_thermal(k, mu0, beta0, t),
+            lambda k: np.abs(s_hat(f, k)) ** 2, momentum_cutoff(f).cutoff)
+
+
+def _octave(s: int) -> int:
+    """Lag octave: 0 for ``|s| <= 1``, else ``j`` with ``2^(j-1) < |s| <= 2^j``."""
+    return max(0, abs(s) - 1).bit_length()
+
+
+@lru_cache(maxsize=256)
+def _lag_octave(state: QuasiFreeState, j: int) -> Mapping[int, np.ndarray]:
+    """Every lag of octave ``j`` of the lag table: a read-only mapping of
+    read-only 2x2 arrays, shared by every caller.
+
+    ``W C`` is sampled once, on the nodes whose panels resolve the octave's
+    largest lag, in blocks of at most ``_BLOCK`` nodes; each lag is summed
+    as rows ``exp(iks) @ sym`` block by block, so a value never depends on
+    which lags were asked for before.  Cached by state value and octave.
+    """
+    top = 1 << j
+    lags = [s for s in range(-top, top + 1) if _octave(s) == j]
+    kernel, weight, kmax = _state_kernel_weight(state)
+    table = np.zeros((len(lags), 4), dtype=complex)
+    for x, w in symmetric_node_blocks(kmax, _FINEST, _ORDER,
+                                      _osc_width(SiteVector.delta(top)), _BLOCK):
+        sym = (w * weight(x) / (2.0 * np.pi))[:, None] * kernel(x).reshape(-1, 4)
+        for r, s in enumerate(lags):
+            table[r] += np.exp(1j * s * x) @ sym
+    table = table.reshape(-1, 2, 2)
+    table.setflags(write=False)
+    return MappingProxyType(dict(zip(lags, table)))
+
+
+def _lag_matrix(state: QuasiFreeState, s: int) -> np.ndarray:
+    """The lag table ``P(s) = (1/2pi) Int e^{iks} W(k) C(k) dk`` (2x2)."""
+    return _lag_octave(state, _octave(s))[s]
+
+
+def _pairing(state: QuasiFreeState, v1: SelfDualVector,
+             v2: SelfDualVector) -> complex:
+    """``<Psi(v1) Psi(v2)> = sum_{j,l} conj(w1_j)^T P(j - l) conj(w2_l)``."""
+    total = 0j
+    for a, x in enumerate((v1.xi, v1.eta)):
+        for b, y in enumerate((v2.xi, v2.eta)):
+            for j, xj in zip(x.sites.tolist(), x.values):
+                for l, yl in zip(y.sites.tolist(), y.values):
+                    if xj and yl:  # zero weights sample no octave
+                        total += (xj * yl).conjugate() * _lag_matrix(state, j - l)[a, b]
+    return complex(total)
+
+
+def _field(v: SiteVector, op: str) -> SelfDualVector:
+    """``a(v)`` (``op = "a"``) or ``a*(v)`` as a doubled-space vector."""
+    if op == "a":
+        return SelfDualVector.from_annihilator(v)
+    return SelfDualVector.from_creator(v.conj())
+
+
+def _two_point(state: QuasiFreeState, v1: SiteVector, v2: SiteVector,
+               kind: str = "a_adag") -> complex:
+    """Scalar two-point function of ``state``: ``<a(v1) a*(v2)>``,
+    ``<a*(v1) a*(v2)>``, ``<a(v1) a(v2)>`` or ``<a*(v1) a(v2)>`` for
+    ``kind`` ``"a_adag"``, ``"adag_adag"``, ``"a_a"`` or ``"adag_a"``."""
+    if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {_KINDS}")
+    op1, op2 = kind.split("_")
+    return _pairing(state, _field(v1, op1), _field(v2, op2))
 
-    return complex(integrate(f, kmax, _FINEST, _ORDER, max_width=_osc_width(v1, v2))
-                   / (2.0 * np.pi))
+
+# ---------------------------------------------------------------------------
+# renormalized (finite-m) two-point functions
 
 
 def renormalized_two_point(c: Couplings, filt: Filter, m: int, v1: SiteVector,
                            v2: SiteVector, kind: str = "a_adag") -> complex:
     """Two-point function of the ``m``-times renormalized Gibbs state.
 
-    The integral runs over the momentum window ``[-2^m pi, 2^m pi]`` with
-    the cascade weight ``W_m(k) = |prod_{n=1..m} m0(2^-n k)|^2``.
+    Its lag table integrates over the momentum window ``[-2^m pi, 2^m pi]``
+    with the cascade weight ``W_m(k) = |prod_{n=1..m} m0(2^-n k)|^2``.
 
     Parameters
     ----------
@@ -129,23 +260,13 @@ def renormalized_two_point(c: Couplings, filt: Filter, m: int, v1: SiteVector,
     -------
     complex
     """
-    if m < 0 or int(m) != m:
-        raise ValueError("m must be a non-negative integer")
-    scale = 2.0 ** m
-    return _pair_integral(
-        lambda k: annihilation_pair_density(c, k / scale),
-        lambda k: creation_pair_density(c, k / scale),
-        lambda k: np.abs(cascade_product(filt, k, m)) ** 2,
-        v1, v2, kind, scale * np.pi)
+    return _two_point(QuasiFreeState.renormalized(c, filt, m), v1, v2, kind)
 
 
 def lattice_two_point(c: Couplings, v1: SiteVector, v2: SiteVector,
                       kind: str = "a_adag") -> complex:
     """Bare (un-renormalized) Gibbs two-point function; equals ``m = 0``."""
-    return _pair_integral(
-        lambda k: annihilation_pair_density(c, k),
-        lambda k: creation_pair_density(c, k),
-        lambda k: 1.0, v1, v2, kind, np.pi)
+    return _two_point(QuasiFreeState.lattice(c), v1, v2, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +326,12 @@ def momentum_cutoff(filt: Filter, target: float = 1e-10, cap_exp: int = 9,
 # scaling-limit two-point functions
 
 
-def _limit_weight(filt: Filter):
-    return lambda k: np.abs(s_hat(filt, k)) ** 2
-
-
 def limit_two_point(filt: Filter, v1: SiteVector, v2: SiteVector,
                     kind: str = "a_adag") -> complex:
-    """Critical scaling-limit two-point function (wavelet-smeared).
-
-    Pair densities are the ``m -> inf`` limits ``d_ann = 1/2`` and
-    ``d_cre = -(i/2) sign(k)``, weighted by ``|s^(k)|^2`` over the window
-    ``|k| <= momentum_cutoff(filt).cutoff``.
-    """
-    return _pair_integral(
-        lambda k: np.full(np.shape(k), 0.5),
-        lambda k: -0.5j * np.sign(k),
-        _limit_weight(filt), v1, v2, kind, momentum_cutoff(filt).cutoff)
+    """Critical scaling-limit two-point function (wavelet-smeared): the
+    kernel ``[[1, -sign k], [-sign k, 1]]`` weighted by ``|s^(k)|^2`` over
+    ``|k| <= momentum_cutoff(filt).cutoff``."""
+    return _two_point(QuasiFreeState.critical_limit(filt), v1, v2, kind)
 
 
 def massive_thermal_two_point(filt: Filter, v1: SiteVector, v2: SiteVector,
@@ -228,10 +339,8 @@ def massive_thermal_two_point(filt: Filter, v1: SiteVector, v2: SiteVector,
                               beta0: float, t: float = 1.0) -> complex:
     """Massive/thermal scaling-limit two-point function (wavelet-smeared),
     over the same window as :func:`limit_two_point`."""
-    return _pair_integral(
-        lambda k: massive_pair_densities(k, mu0, beta0, t)[0],
-        lambda k: massive_pair_densities(k, mu0, beta0, t)[1],
-        _limit_weight(filt), v1, v2, kind, momentum_cutoff(filt).cutoff)
+    return _two_point(QuasiFreeState.massive_thermal(filt, mu0, beta0, t),
+                     v1, v2, kind)
 
 
 def majorana_two_point_integral(filt: Filter, v1: SiteVector, v2: SiteVector,

@@ -55,7 +55,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_oracle_identity():
-    # warm the jit so the timed section measures the sweep, not compilation
+    # nothing is compiled: this call only fills the 1x1 torus's count cache
     partition_function_brute(TorusSpec(1, 1, 0.3, 0.3))
     shapes = [(M, N) for M in range(1, 7) for N in range(1, 7) if M * N <= 6]
     assert len(shapes) == 14  # every torus with at most 24 spins

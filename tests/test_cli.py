@@ -175,6 +175,30 @@ def test_spincorr_rejects_options_it_does_not_read(tmp_path, monkeypatch):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_spincorr_rejects_nonphysical_massive_state(tmp_path, monkeypatch,
+                                                    capsys):
+    # beta0 <= 0 or t = t1 <= 0 names no state: exit 2, no table
+    for flags in (["--beta0", "-1"], ["--beta0", "0"], ["--t1", "-1"]):
+        code = run_cli(["spincorr", "--filter", "d4", "--state",
+                        "massive-thermal", "--dmax", "2", "--out", "x.csv",
+                        *flags], monkeypatch, tmp_path)
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
+        assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--m", "3"],
+                                  ["filters", "--t1", "2"],
+                                  ["kernel", "--filter", "d4"],
+                                  ["verify", "--beta", "2"],
+                                  ["flow", "--seed", "1"]])
+def test_commands_accept_only_flags_they_read(argv, tmp_path, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--out", "x.out"], monkeypatch, tmp_path)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.out").exists()
+
+
 def test_absolute_out_ignores_outdir(tmp_path, monkeypatch):
     target = tmp_path / "abs" / "table.csv"
     target.parent.mkdir()
@@ -189,7 +213,7 @@ def test_absolute_out_ignores_outdir(tmp_path, monkeypatch):
 
 def test_oracle_fixture_export_matches_frozen(tmp_path, monkeypatch,
                                               oracle_fixtures):
-    assert run_cli(["oracle", "--fixtures", "fix.json"],
+    assert run_cli(["oracle", "--fixtures", "--out", "fix.json"],
                    monkeypatch, tmp_path) == 0
     payload = json.loads((tmp_path / "fix.json").read_text())
     assert set(payload) == {"version", "config", "fixtures"}

@@ -2,6 +2,7 @@
 anchors for the critical chain, and scaling-limit decay structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from isingrg.correlators import (
     toeplitz_symbol,
     transverse_field_expectation,
 )
-from isingrg.kernels import Couplings, SelfDualVector
+from isingrg.kernels import Couplings, SelfDualVector, SiteVector
+from isingrg.rgflow import _lag_octave, renormalized_two_point
+from isingrg.wavelet import make_daubechies_filter
 
 
 # ---------------------------------------------------------------------------
-# shared states (module scope so the per-state lag table is reused)
+# shared states (lag-table octaves are cached by state value)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +117,13 @@ def test_state_validation(d8):
         QuasiFreeState(kind="critical_limit")  # needs a filter
     st = QuasiFreeState.massive_thermal(d8, 0.5, 2.0, t=0.7)
     assert (st.kind, st.mu0, st.beta0, st.t) == ("massive_thermal", 0.5, 2.0, 0.7)
+    # an inverted population (beta0 < 0), beta0 = 0 or a non-positive
+    # velocity t is not a state
+    for beta0, t in ((-2.0, 1.0), (0.0, 1.0), (math.nan, 1.0), (2.0, 0.0),
+                     (2.0, -1.0)):
+        with pytest.raises(ValueError):
+            QuasiFreeState.massive_thermal(d8, 1.0, beta0, t)
+    assert QuasiFreeState.massive_thermal(d8, 1.0, math.inf).beta0 == math.inf
 
 
 def test_renormalized_depth_validation(d4):
@@ -142,14 +152,44 @@ def test_dual_route_pairings_agree(lattice_state, limit_state, d4, d8):
 
 def test_pair_cache_reused(d8):
     st = QuasiFreeState.critical_limit(d8)
-    assert len(st._lag_table) == 0
+    _lag_octave.cache_clear()
     toeplitz_correlation(st, 2)
-    n1 = len(st._lag_table)
-    assert n1 > 0
+    misses = _lag_octave.cache_info().misses
+    assert misses > 0
     toeplitz_correlation(st, 2)
-    assert len(st._lag_table) == n1  # warm: no new integrals
+    assert _lag_octave.cache_info().misses == misses  # warm: no new samples
     spin_spin_correlation(st, [0, 2])  # a Pfaffian over lags already tabled
-    assert len(st._lag_table) == n1
+    assert _lag_octave.cache_info().misses == misses
+
+
+def test_equal_states_share_lag_cache(d4):
+    # the cache is bounded and keyed by state value: a fresh equal state,
+    # or the four kinds of one flow step, sample nothing new
+    assert _lag_octave.cache_info().maxsize is not None
+    toeplitz_correlation(QuasiFreeState.renormalized(Couplings(1.0, 0.8, 3.0),
+                                                     d4, 2), 3)
+    misses = _lag_octave.cache_info().misses
+    fresh = QuasiFreeState.renormalized(Couplings(1.0, 0.8, 3.0),
+                                        make_daubechies_filter(2), 2)
+    toeplitz_correlation(fresh, 3)
+    for kind in ("a_adag", "adag_adag", "a_a", "adag_a"):
+        renormalized_two_point(Couplings(1.0, 0.8, 3.0), d4, 2,
+                               SiteVector.delta(0), SiteVector.delta(1), kind)
+    assert _lag_octave.cache_info().misses == misses
+
+
+def test_cold_lag_sample_memory_bounded(d4):
+    # W C is sampled in node blocks: a cold depth-12 table holds no array
+    # spanning the whole 2^12 pi window
+    st = QuasiFreeState.renormalized(Couplings.critical(), d4, 12)
+    _lag_octave.cache_clear()
+    tracemalloc.start()
+    try:
+        toeplitz_correlation(st, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 _FACTORS = {"sum": SelfDualVector.position_sum,
@@ -176,10 +216,12 @@ def test_lag_table_matches_general_pairing(lattice_state, limit_state, d4, d8):
 
 
 def test_lag_table_independent_of_request_order(d8):
-    fresh = QuasiFreeState.critical_limit(d8)
-    warmed = QuasiFreeState.critical_limit(d8)
-    toeplitz_correlation(warmed, 12)
-    assert toeplitz_correlation(fresh, 3) == toeplitz_correlation(warmed, 3)
+    st = QuasiFreeState.critical_limit(d8)
+    _lag_octave.cache_clear()
+    cold = toeplitz_correlation(st, 3)
+    _lag_octave.cache_clear()
+    toeplitz_correlation(st, 12)
+    assert toeplitz_correlation(st, 3) == cold
 
 
 # ---------------------------------------------------------------------------

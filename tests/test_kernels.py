@@ -11,13 +11,10 @@ from isingrg.kernels import (
     Couplings,
     SelfDualVector,
     SiteVector,
-    annihilation_pair_density,
     covariance_critical_limit,
     covariance_lattice,
     covariance_massive_thermal,
-    creation_pair_density,
     gibbs_covariance,
-    massive_pair_densities,
     one_particle_h,
     z_theta,
 )
@@ -204,28 +201,3 @@ def test_massive_thermal_hermitian_spectrum():
     lam = np.linalg.eigvalsh(c)
     assert lam.min() > -1e-14
     assert lam.max() < 2 + 1e-14
-
-
-# ---------------------------------------------------------------------------
-# pair densities
-
-
-def test_pair_densities_match_covariance():
-    coup = Couplings(1.1, 0.6, beta=1.8)
-    d_ann = annihilation_pair_density(coup, THETA_GRID)
-    d_cre = creation_pair_density(coup, THETA_GRID)
-    cov = covariance_lattice(coup, THETA_GRID)
-    # C01 = i conj(pt): d_ann = (1 - Re pt)/2, d_cre = i Im pt / 2.
-    pt = np.conj(-1j * cov[:, 0, 1])
-    np.testing.assert_allclose(d_ann, 0.5 * (1 - pt.real), atol=1e-14)
-    np.testing.assert_allclose(d_cre, 0.5j * pt.imag, atol=1e-14)
-
-
-def test_massive_pair_densities_limits():
-    k = np.array([-1.0, 0.5, 2.0])
-    d_ann, d_cre = massive_pair_densities(k, mu0=0.0, beta0=math.inf)
-    np.testing.assert_allclose(d_ann, 0.5, atol=0)
-    np.testing.assert_allclose(d_cre, -0.5j * np.sign(k), atol=0)
-    d_ann_m, d_cre_m = massive_pair_densities(k, mu0=1e6, beta0=math.inf)
-    np.testing.assert_allclose(d_ann_m, 0.0, atol=1e-6)
-    np.testing.assert_allclose(d_cre_m, 0.0, atol=1e-6)

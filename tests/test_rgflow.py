@@ -2,14 +2,17 @@
 classification, and calibrated massive/thermal convergence."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from isingrg.kernels import Couplings, SiteVector
+from isingrg.correlators import self_dual_two_point
+from isingrg.kernels import Couplings, SelfDualVector, SiteVector
 from isingrg.rgflow import (
     DISORDER_KERNEL,
     ORDER_KERNEL,
+    QuasiFreeState,
     calibrated_couplings,
     classify_flow,
     lattice_two_point,
@@ -77,6 +80,41 @@ def test_input_validation(d4):
         renormalized_two_point(c, d4, -1, DELTA0, DELTA0)
     with pytest.raises(ValueError):
         renormalized_two_point(c, d4, 1, DELTA0, DELTA0, kind="a_b")
+    # beta0 < 0 would be an inverted population; beta0 = 0 and t <= 0 are
+    # rejected as they are for Couplings
+    for beta0, t in ((-2.0, 1.0), (0.0, 1.0), (2.0, 0.0), (2.0, -1.0)):
+        with pytest.raises(ValueError):
+            massive_thermal_two_point(d4, DELTA0, DELTA0, "a_adag", mu0=1.0,
+                                      beta0=beta0, t=t)
+
+
+# ---------------------------------------------------------------------------
+# one route: every two-point function reads its state's lag table
+
+_FIELDS = {"a": SelfDualVector.from_annihilator,
+           "adag": lambda v: SelfDualVector.from_creator(v.conj())}
+
+
+def test_two_point_kinds_match_general_pairing(d4, d8):
+    # flow-workload-like vectors inside sites [-2, 2] against the direct
+    # quadrature of the doubled-space pairing, a(v) = Psi(from_annihilator(v))
+    # and a*(v) = Psi(from_creator(conj v))
+    rng = np.random.default_rng(11)
+    v1 = SiteVector(tuple(rng.normal(size=2) + 1j * rng.normal(size=2)), -2)
+    v2 = SiteVector(tuple(rng.normal(size=3) + 1j * rng.normal(size=3)), -1)
+    c = Couplings(1.0, 0.8, beta=3.0)
+    cases = [(QuasiFreeState.lattice(c), partial(lattice_two_point, c))]
+    cases += [(QuasiFreeState.renormalized(c, d4, m),
+               partial(renormalized_two_point, c, d4, m)) for m in (0, 3, 12)]
+    cases += [(QuasiFreeState.critical_limit(d8), partial(limit_two_point, d8)),
+              (QuasiFreeState.massive_thermal(d8, 0.5, 2.0),
+               partial(massive_thermal_two_point, d8, mu0=0.5, beta0=2.0))]
+    for state, two_point in cases:
+        for kind in ("a_adag", "adag_adag", "a_a", "adag_a"):
+            op1, op2 = kind.split("_")
+            oracle = self_dual_two_point(state, _FIELDS[op1](v1), _FIELDS[op2](v2))
+            assert abs(two_point(v1, v2, kind) - oracle) <= 1e-13, \
+                (state.kind, state.m, kind)
 
 
 # ---------------------------------------------------------------------------
