@@ -87,12 +87,9 @@ def symmetric_node_blocks(kmax: float, finest: float, order: int,
         yield np.concatenate([-xp, xp]), np.concatenate([wp, wp])
 
 
-def integrate(f, kmax: float, finest: float, order: int = 20, symmetric: bool = True,
+def integrate(f, kmax: float, finest: float, order: int = 20,
               max_width: float = np.pi):
-    """Integrate a vectorized integrand over [-kmax, kmax] (or [0, kmax])."""
-    if symmetric:
-        x, w = symmetric_nodes(kmax, finest, order, max_width)
-    else:
-        x, w = panel_nodes(dyadic_edges(kmax, finest, max_width), order)
+    """Integrate a vectorized integrand over [-kmax, kmax]."""
+    x, w = symmetric_nodes(kmax, finest, order, max_width)
     return np.dot(w, f(x))
 

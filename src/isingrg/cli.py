@@ -19,11 +19,17 @@ Subcommands
 ``verify``
     Invariant suites; pass/fail JSON report, exit 0 iff everything passed.
 
-Every output file embeds the resolved run configuration and the package
-version, contains no timestamps, and is written through a temporary file
-and rename — identical configurations yield byte-identical files and a
-failing run leaves no partial output.  The only environment influence is
-``ISINGRG_OUTDIR``, which redirects relative output paths.
+The parsed argument namespace is the run configuration: each ``cmd_*``
+reads its typed flags from it, and every output file records it as-is --
+``command`` plus exactly the flags that command parses, with ``--critical``
+already applied to ``t3`` and ``beta``, a ``kernel`` run's default
+``kmax`` resolved, and infinities written as ``"inf"``.  CSV tables carry
+it on a ``# config:`` line under ``# isingrg <version>``; JSON files under
+the ``config`` key next to ``version``.  Files contain no timestamps and are
+written through a temporary file and rename, so identical configurations
+yield byte-identical files and a failing run leaves no partial output.  The
+only environment influence is ``ISINGRG_OUTDIR``, which redirects relative
+output paths.
 """
 
 from __future__ import annotations
@@ -35,18 +41,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .errorbounds import (
-    bound_sweep,
-    sup_constants,
-    write_bound_sweep_csv,
-)
+from .errorbounds import bound_sweep, sup_constants
 from .correlators import (
     QuasiFreeState,
     pfaffian,
@@ -74,53 +76,8 @@ from .rgflow import classify_flow, limit_two_point, renormalized_two_point
 from .wavelet import Filter, high_pass, m0, make_daubechies_filter
 
 _KINDS = ("a_adag", "adag_adag", "a_a", "adag_a")
-
-
-# ---------------------------------------------------------------------------
-# run configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration of one CLI run.
-
-    Serializes losslessly to JSON (``math.inf`` as the string ``"inf"``)
-    and is embedded into every output file, so results carry their own
-    provenance and reruns are reproducible.
-    """
-
-    command: str
-    filter_taps: int = 8
-    t1: float = 1.0
-    t3: float = 1.0
-    beta: float = math.inf
-    m: int = 0
-    out: Optional[str] = None
-    format: str = "csv"
-    seed: int = 0
-    options: Tuple[Tuple[str, str], ...] = ()
-
-    def to_mapping(self) -> Dict:
-        d = asdict(self)
-        d["beta"] = "inf" if math.isinf(self.beta) else self.beta
-        d["options"] = {k: v for k, v in self.options}
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_mapping(), sort_keys=True)
-
-    @classmethod
-    def from_mapping(cls, d: Dict) -> "RunConfig":
-        d = dict(d)
-        if d.get("beta") == "inf":
-            d["beta"] = math.inf
-        d["options"] = tuple(sorted((str(k), str(v))
-                                    for k, v in d.get("options", {}).items()))
-        return cls(**d)
-
-    @classmethod
-    def from_json(cls, s: str) -> "RunConfig":
-        return cls.from_mapping(json.loads(s))
+# separations up to this one also carry the Pfaffian-versus-Toeplitz delta
+_PF_CHECK_MAX = 10
 
 
 def _parse_filter(name: str) -> int:
@@ -137,49 +94,25 @@ def _parse_filter(name: str) -> int:
         "count between 2 and 20 (d2, d4, ..., d20)")
 
 
-def _filter_from_config(cfg: RunConfig) -> Filter:
-    return make_daubechies_filter(cfg.filter_taps // 2)
+def _parse_sites(text: str) -> Tuple[int, ...]:
+    """Site flag ``0,3,5`` -> ``(0, 3, 5)``."""
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid site list {text!r}: use comma-separated integers") from None
 
 
 # ---------------------------------------------------------------------------
 # output plumbing
 
 
-def _resolve_path(cfg: RunConfig, default_name: str) -> Path:
-    out = cfg.out if cfg.out else default_name
-    path = Path(out)
+def _resolve_path(args: argparse.Namespace, default_name: str) -> Path:
+    path = Path(args.out if args.out else default_name)
     outdir = os.environ.get("ISINGRG_OUTDIR")
     if outdir and not path.is_absolute():
         path = Path(outdir) / path
     return path
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _render_table(cfg: RunConfig, columns: Sequence[str],
-                  rows: Sequence[Sequence]) -> str:
-    """Render a table in the configured format with embedded provenance."""
-    if cfg.format == "csv":
-        buf = io.StringIO()
-        buf.write(f"# isingrg {__version__}\n")
-        buf.write(f"# config: {cfg.to_json()}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-        return buf.getvalue()
-    payload = {
-        "version": __version__,
-        "config": cfg.to_mapping(),
-        "columns": list(columns),
-        "rows": [[_jsonable(v) for v in row] for row in rows],
-    }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 def _cell(v) -> str:
@@ -198,20 +131,49 @@ def _jsonable(v):
     return v
 
 
-def _emit(cfg: RunConfig, default_name: str, columns: Sequence[str],
-          rows: Sequence[Sequence]) -> Path:
-    path = _resolve_path(cfg, default_name)
-    _atomic_write_text(path, _render_table(cfg, columns, rows))
+def _write(args: argparse.Namespace, path: Path, fmt: str, **body) -> Path:
+    """Write ``body`` under the run's provenance header, atomically.
+
+    ``fmt`` ``"csv"`` renders ``body["columns"]`` and ``body["rows"]`` below
+    the ``# isingrg`` and ``# config:`` lines; ``"json"`` writes ``body``'s
+    keys next to ``version`` and ``config``.
+    """
+    config = {k: _jsonable(v) for k, v in vars(args).items()}
+    if fmt == "csv":
+        buf = io.StringIO()
+        buf.write(f"# isingrg {__version__}\n")
+        buf.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(body["columns"])
+        for row in body["rows"]:
+            writer.writerow([_cell(v) for v in row])
+        text = buf.getvalue()
+    else:
+        if "rows" in body:
+            body["rows"] = [[_jsonable(v) for v in row] for row in body["rows"]]
+        payload = {"version": __version__, "config": config, **body}
+        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
     return path
+
+
+def _emit(args: argparse.Namespace, default_name: str, columns: Sequence[str],
+          rows: Sequence[Sequence]) -> Path:
+    """Write a table in the run's ``--format`` to ``--out`` or ``default_name``."""
+    return _write(args, _resolve_path(args, default_name), args.format,
+                  columns=list(columns), rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_filters(cfg: RunConfig) -> Path:
+def cmd_filters(args: argparse.Namespace) -> Path:
     """Tap table ``n, h_n, g_n`` plus transfer-function spot values."""
-    filt = _filter_from_config(cfg)
+    filt = make_daubechies_filter(args.filter_taps // 2)
     g = high_pass(filt)
     rows: List[Sequence] = []
     for n in range(0, 2 * filt.order + 2):
@@ -219,20 +181,24 @@ def cmd_filters(cfg: RunConfig) -> Path:
         off = n - g.support_offset
         gv = float(g.taps[off]) if 0 <= off < g.taps.size else 0.0
         rows.append((n, hv, gv))
-    return _emit(cfg, f"filters_{filt.name}.{cfg.format}",
+    return _emit(args, f"filters_{filt.name}.{args.format}",
                  ("n", "h_n", "g_n"), rows)
 
 
-def _kernel_rows(cfg: RunConfig, opts: Dict[str, str], kind: str):
-    kmax = float(opts.get("kmax", math.pi if kind == "lattice" else 10.0))
-    grid = np.linspace(-kmax, kmax, int(opts.get("points", "101")))
-    if kind == "lattice":
-        mats = covariance_lattice(Couplings(cfg.t1, cfg.t3, cfg.beta), grid)
-    elif kind == "critical-limit":
+def cmd_kernel(args: argparse.Namespace) -> Path:
+    """Covariance kernel table over a symmetric momentum grid."""
+    if not (0 < args.kmax < math.inf):
+        raise ValueError("--kmax must be positive and finite")
+    if args.points < 2:
+        raise ValueError("--points must be at least 2 (the grid spans "
+                         "-kmax to kmax)")
+    grid = np.linspace(-args.kmax, args.kmax, args.points)
+    if args.kind == "lattice":
+        mats = covariance_lattice(Couplings(args.t1, args.t3, args.beta), grid)
+    elif args.kind == "critical-limit":
         mats = covariance_critical_limit(grid)
     else:
-        mats = covariance_massive_thermal(grid, float(opts.get("mu0", "1.0")),
-                                          float(opts.get("beta0", "inf")), cfg.t1)
+        mats = covariance_massive_thermal(grid, args.mu0, args.beta0, args.t1)
     rows = []
     for k, mat in zip(grid, mats):
         rows.append((float(k), float(np.sign(k)),
@@ -240,107 +206,89 @@ def _kernel_rows(cfg: RunConfig, opts: Dict[str, str], kind: str):
                      mat[0, 1].real, mat[0, 1].imag,
                      mat[1, 0].real, mat[1, 0].imag,
                      mat[1, 1].real, mat[1, 1].imag))
-    return rows
-
-
-def cmd_kernel(cfg: RunConfig) -> Path:
-    """Covariance kernel table over a symmetric momentum grid."""
-    opts = dict(cfg.options)
-    kind = opts.get("kind", "critical-limit")
-    rows = _kernel_rows(cfg, opts, kind)
-    return _emit(cfg, f"kernel_{kind}.{cfg.format}",
+    return _emit(args, f"kernel_{args.kind}.{args.format}",
                  ("k", "sign_k",
                   "c00_re", "c00_im", "c01_re", "c01_im",
                   "c10_re", "c10_im", "c11_re", "c11_im"), rows)
 
 
-def cmd_flow(cfg: RunConfig) -> Path:
+def cmd_flow(args: argparse.Namespace) -> Path:
     """Renormalized two-point values at depth ``m`` (plus limit if critical)."""
-    filt = _filter_from_config(cfg)
-    c = Couplings(cfg.t1, cfg.t3, cfg.beta)
+    filt = make_daubechies_filter(args.filter_taps // 2)
+    c = Couplings(args.t1, args.t3, args.beta)
     delta = SiteVector.delta(0)
-    critical = (cfg.t1 == cfg.t3) and math.isinf(cfg.beta)
+    critical = (args.t1 == args.t3) and math.isinf(args.beta)
     rows = []
     for kind in _KINDS:
-        ren = renormalized_two_point(c, filt, cfg.m, delta, delta, kind)
+        ren = renormalized_two_point(c, filt, args.m, delta, delta, kind)
         if critical:
             lim = limit_two_point(filt, delta, delta, kind)
             rows.append((kind, ren.real, ren.imag, lim.real, lim.imag,
                          abs(ren - lim)))
         else:
             rows.append((kind, ren.real, ren.imag, None, None, None))
-    return _emit(cfg, f"flow_m{cfg.m}.{cfg.format}",
+    return _emit(args, f"flow_m{args.m}.{args.format}",
                  ("kind", "renormalized_re", "renormalized_im",
                   "limit_re", "limit_im", "abs_error"), rows)
 
 
-def _spincorr_state(cfg: RunConfig, opts: Dict[str, str]) -> QuasiFreeState:
-    kind = opts.get("state", "critical-limit")
-    filt = _filter_from_config(cfg)
-    if kind == "lattice":
-        return QuasiFreeState.lattice(Couplings(cfg.t1, cfg.t3, cfg.beta))
-    if kind == "renormalized":
-        return QuasiFreeState.renormalized(Couplings(cfg.t1, cfg.t3, cfg.beta),
-                                           filt, cfg.m)
-    if kind == "critical-limit":
+def _spincorr_state(args: argparse.Namespace) -> QuasiFreeState:
+    filt = make_daubechies_filter(args.filter_taps // 2)
+    if args.state == "lattice":
+        return QuasiFreeState.lattice(Couplings(args.t1, args.t3, args.beta))
+    if args.state == "renormalized":
+        return QuasiFreeState.renormalized(
+            Couplings(args.t1, args.t3, args.beta), filt, args.m)
+    if args.state == "critical-limit":
         return QuasiFreeState.critical_limit(filt)
-    if kind == "massive-thermal":
-        return QuasiFreeState.massive_thermal(
-            filt, float(opts.get("mu0", "1.0")), float(opts.get("beta0", "inf")),
-            cfg.t1)
-    raise ValueError(f"unknown state kind {kind!r}")
+    return QuasiFreeState.massive_thermal(filt, args.mu0, args.beta0, args.t1)
 
 
-def cmd_spincorr(cfg: RunConfig) -> Path:
+def cmd_spincorr(args: argparse.Namespace) -> Path:
     """Spin correlator table with diagnostics.
 
-    Default: separations ``1..d_max`` of the two-site correlator with the
-    imaginary residue and (up to ``pf_check_max``) the
-    Pfaffian-versus-Toeplitz delta.  ``sites`` requests a single explicit
-    multi-site product instead; an odd number of sites reports the exact
-    zero.  ``check_exponent`` appends the fitted log-log slope of the
-    computed values over separations ``6..min(12, d_max)``.
+    Default: separations ``1..dmax`` of the two-site correlator with the
+    imaginary residue and (up to separation 10) the Pfaffian-versus-Toeplitz
+    delta.  ``sites`` requests a single explicit multi-site product instead;
+    an odd number of sites reports the exact zero.  ``check_exponent``
+    appends the fitted log-log slope of the computed values over
+    separations ``6..min(12, dmax)``.
     """
-    opts = dict(cfg.options)
-    state = _spincorr_state(cfg, opts)
+    state = _spincorr_state(args)
     columns = ("separation", "value", "imag_residue", "pf_toeplitz_delta")
     rows: List[Sequence] = []
-    if "sites" in opts:
-        sites = tuple(int(s) for s in opts["sites"].split(","))
-        val = spin_spin_correlation(state, sites)
-        rows.append(("sites:" + ",".join(str(s) for s in sites),
+    if args.sites is not None:
+        val = spin_spin_correlation(state, args.sites)
+        rows.append(("sites:" + ",".join(str(s) for s in args.sites),
                      val.real, abs(val.imag), None))
-        return _emit(cfg, f"spincorr_sites.{cfg.format}", columns, rows)
+        return _emit(args, f"spincorr_sites.{args.format}", columns, rows)
 
-    d_max = int(opts.get("dmax", "8"))
-    pf_check_max = int(opts.get("pf_check_max", "10"))
+    if args.dmax < 1:
+        raise ValueError("--dmax must be at least 1")
     values = []
-    for d in range(1, d_max + 1):
+    for d in range(1, args.dmax + 1):
         val = toeplitz_correlation(state, d)
         values.append(val.real)
         delta = None
-        if d <= pf_check_max:
+        if d <= _PF_CHECK_MAX:
             pf = spin_spin_correlation(state, (0, d))
             delta = abs(pf - val)
         rows.append((d, val.real, abs(val.imag), delta))
-    if opts.get("check_exponent") == "1":
-        lo, hi = 6, min(12, d_max)
+    if args.check_exponent:
+        lo, hi = 6, min(12, args.dmax)
         ds = np.arange(lo, hi + 1)
         mags = np.abs(np.asarray(values[lo - 1:hi]))
         slope = float(np.polyfit(np.log(ds), np.log(mags), 1)[0])
         rows.append(("exponent_fit", slope, None, None))
-    return _emit(cfg, f"spincorr_d{d_max}.{cfg.format}", columns, rows)
+    return _emit(args, f"spincorr_d{args.dmax}.{args.format}", columns, rows)
 
 
-def cmd_oracle(cfg: RunConfig) -> Path:
+def cmd_oracle(args: argparse.Namespace) -> Path:
     """Partition-function cross-check table on small tori, or (``fixtures``)
     the golden oracle values as JSON."""
-    if dict(cfg.options).get("fixtures") == "1":
-        path = _resolve_path(cfg, "fixtures.json")
-        payload = {"version": __version__, "config": cfg.to_mapping(),
-                   "fixtures": export_fixtures()}
-        _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        return path
+    if args.fixtures:
+        return _write(args, _resolve_path(args, "fixtures.json"), "json",
+                      fixtures=export_fixtures())
     shapes = ((1, 2), (2, 2), (2, 3))
     ks = (0.1, 0.4407, 1.0)
     rows = []
@@ -352,7 +300,7 @@ def cmd_oracle(cfg: RunConfig) -> Path:
             zx = partition_function_tensor(spec)
             rows.append((M, N, K, zt, zb, zx,
                          abs(zt - zb) / zb, abs(zx - zb) / zb))
-    return _emit(cfg, f"oracle_partition.{cfg.format}",
+    return _emit(args, f"oracle_partition.{args.format}",
                  ("M", "N", "K", "Z_transfer", "Z_brute", "Z_tensor",
                   "rel_err_transfer", "rel_err_tensor"), rows)
 
@@ -446,25 +394,26 @@ def _verify_correlators(records: List[Dict], filt: Filter,
             abs(pf - tp) < 1e-10, f"delta {abs(pf - tp):.3e}")
 
 
-def _verify_errorbounds(records: List[Dict], filt: Filter, grid: str,
-                        report_path: Path) -> None:
+def _verify_errorbounds(records: List[Dict], args: argparse.Namespace,
+                        filt: Filter, report_path: Path) -> None:
     rep = sup_constants(0.25, 0)
     dev12 = max(abs(rep.values[0] - 0.5), abs(rep.values[1] - 0.5))
     _record(records, "errorbounds", "static sup-constants equal 1/2",
             dev12 < 1e-6, f"max deviation {dev12:.3e}")
     v1 = SelfDualVector.position_diff(0)
     v2 = SelfDualVector.position_sum(1)
-    ms = (2, 4) if grid == "small" else (2, 4, 6, 8)
-    t0s = (0.0, 0.5) if grid == "small" else (0.0, 0.5, 1.0)
+    ms = (2, 4) if args.grid == "small" else (2, 4, 6, 8)
+    t0s = (0.0, 0.5) if args.grid == "small" else (0.0, 0.5, 1.0)
     reports = bound_sweep(ms, t0s, 1.0, v1, v2, filt)
     ok = all(r.satisfied for r in reports)
     _record(records, "errorbounds", "empirical error within certified bound",
             ok, f"{sum(r.satisfied for r in reports)}/{len(reports)} grid points")
-    csv_path = report_path.parent / f"bound_sweep_{grid}.csv"
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = csv_path.with_name(csv_path.name + ".tmp")
-    write_bound_sweep_csv(tmp, reports)
-    os.replace(tmp, csv_path)
+    csv_path = _write(
+        args, report_path.parent / f"bound_sweep_{args.grid}.csv", "csv",
+        columns=["m", "t0", "empirical", "bound", "term_order1",
+                 "term_order2", "term_order3", "term_order4"],
+        rows=[(r.m, r.t0, r.empirical_error, r.certified_bound, *r.components)
+              for r in reports])
     _record(records, "errorbounds", "bound sweep CSV emitted", True,
             str(csv_path))
 
@@ -479,40 +428,31 @@ def _verify_oracle(records: List[Dict]) -> None:
             rel < 1e-12, f"relative spread {rel:.3e}")
 
 
-def cmd_verify(cfg: RunConfig) -> Tuple[Path, int]:
+def cmd_verify(args: argparse.Namespace) -> Tuple[Path, int]:
     """Run invariant suites; write the JSON report; exit 0 iff all passed."""
-    opts = dict(cfg.options)
-    suite = opts.get("suite", "all")
-    grid = opts.get("grid", "small")
-    rng = np.random.default_rng(cfg.seed)
-    filt = _filter_from_config(cfg)
-    if opts.get("corrupt_filter") == "1":
+    rng = np.random.default_rng(args.seed)
+    filt = make_daubechies_filter(args.filter_taps // 2)
+    if args.corrupt_filter:
         filt = Filter(name=filt.name + "-corrupt", order=filt.order,
                       taps=np.asarray(filt.taps) * 1.01)
 
-    path = _resolve_path(cfg, "verify_report.json")
+    path = _resolve_path(args, "verify_report.json")
     records: List[Dict] = []
-    if suite in ("all", "wavelet"):
+    if args.suite in ("all", "wavelet"):
         _verify_wavelet(records, filt)
-    if suite in ("all", "kernels"):
+    if args.suite in ("all", "kernels"):
         _verify_kernels(records)
-    if suite in ("all", "rgflow"):
+    if args.suite in ("all", "rgflow"):
         _verify_rgflow(records, filt)
-    if suite in ("all", "correlators"):
+    if args.suite in ("all", "correlators"):
         _verify_correlators(records, filt, rng)
-    if suite in ("all", "errorbounds"):
-        _verify_errorbounds(records, filt, grid, path)
-    if suite in ("all", "oracle"):
+    if args.suite in ("all", "errorbounds"):
+        _verify_errorbounds(records, args, filt, path)
+    if args.suite in ("all", "oracle"):
         _verify_oracle(records)
 
     passed = all(r["passed"] for r in records)
-    payload = {
-        "version": __version__,
-        "config": cfg.to_mapping(),
-        "passed": passed,
-        "records": records,
-    }
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write(args, path, "json", passed=passed, records=records)
     for r in records:
         status = "PASS" if r["passed"] else "FAIL"
         print(f"[{status}] {r['suite']}: {r['name']} — {r['detail']}")
@@ -550,6 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--critical", action="store_true",
                        help="force t3 = t1 and beta = inf")
 
+    def massive_flags(p):
+        p.add_argument("--mu0", type=float, default=1.0)
+        p.add_argument("--beta0", type=float, default=math.inf)
+
     def depth_flag(p):
         p.add_argument("--m", type=int, default=0, help="renormalization depth")
 
@@ -558,12 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("filters", "filter tap table", filter_flag, format_flag)
 
-    p = add("kernel", "covariance kernel table", coupling_flags, format_flag)
+    p = add("kernel", "covariance kernel table", coupling_flags, massive_flags,
+            format_flag)
     p.add_argument("--kind",
                    choices=("lattice", "critical-limit", "massive-thermal"),
                    default="critical-limit")
-    p.add_argument("--mu0", type=float, default=1.0)
-    p.add_argument("--beta0", type=float, default=math.inf)
     p.add_argument("--kmax", type=float, default=None,
                    help="grid half-width (default pi for lattice, else 10)")
     p.add_argument("--points", type=int, default=101)
@@ -571,19 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
     model = (filter_flag, coupling_flags, depth_flag, format_flag)
     add("flow", "renormalized two-point flow table", *model)
 
-    p = add("spincorr", "spin correlator table", *model)
+    p = add("spincorr", "spin correlator table", *model, massive_flags)
     p.add_argument("--state",
                    choices=("lattice", "renormalized", "critical-limit",
                             "massive-thermal"),
                    default="critical-limit")
     p.add_argument("--dmax", type=int, default=8)
-    p.add_argument("--pf-check-max", type=int, default=10)
-    p.add_argument("--sites", default=None,
+    p.add_argument("--sites", type=_parse_sites, default=None,
                    help="comma-separated site list for one explicit product")
     p.add_argument("--check-exponent", action="store_true",
                    help="append fitted log-log slope over separations 6..12")
-    p.add_argument("--mu0", type=float, default=1.0)
-    p.add_argument("--beta0", type=float, default=math.inf)
 
     p = add("oracle", "exact torus cross-checks", format_flag)
     p.add_argument("--fixtures", action="store_true",
@@ -602,38 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OPTION_KEYS = {
-    "kernel": ("kind", "mu0", "beta0", "kmax", "points"),
-    "spincorr": ("state", "dmax", "pf_check_max", "sites", "check_exponent",
-                 "mu0", "beta0"),
-    "oracle": ("fixtures",),
-    "verify": ("suite", "grid", "corrupt_filter"),
-}
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run configuration; fields a command has no flag for keep their
-    defaults (``verify`` always writes JSON)."""
-    fields = {k: v for k, v in vars(args).items()
-              if k in ("filter_taps", "t1", "t3", "beta", "m", "out", "format",
-                       "seed")}
-    if getattr(args, "critical", False):
-        fields["t3"], fields["beta"] = args.t1, math.inf
-    if args.command == "verify":
-        fields["format"] = "json"
-    options = []
-    for key in _OPTION_KEYS.get(args.command, ()):
-        val = getattr(args, key, None)
-        if val is None or val is False:
-            continue
-        if val is True:
-            val = "1"
-        elif isinstance(val, float) and math.isinf(val):
-            val = "inf"
-        options.append((key, str(val)))
-    return RunConfig(command=args.command, options=tuple(sorted(options)),
-                     **fields)
-
+_parser = lru_cache(maxsize=1)(build_parser)
 
 _TABLE_COMMANDS = {
     "filters": cmd_filters,
@@ -645,18 +554,20 @@ _TABLE_COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
-    if (args.command == "spincorr" and getattr(args, "check_exponent", False)
-            and args.dmax < 8):
+    if getattr(args, "critical", False):
+        args.t3, args.beta = args.t1, math.inf
+    if args.command == "kernel" and args.kmax is None:
+        args.kmax = math.pi if args.kind == "lattice" else 10.0
+    if args.command == "spincorr" and args.check_exponent and args.dmax < 8:
         parser.error("--check-exponent needs --dmax >= 8 to fit a slope")
-    cfg = _config_from_args(args)
     try:
-        if cfg.command == "verify":
-            path, code = cmd_verify(cfg)
+        if args.command == "verify":
+            path, code = cmd_verify(args)
             print(f"report: {path}")
             return code
-        path = _TABLE_COMMANDS[cfg.command](cfg)
+        path = _TABLE_COMMANDS[args.command](args)
         print(f"wrote: {path}")
         return 0
     except (ValueError, OSError) as exc:

@@ -23,11 +23,10 @@ certifies loosely but remains a true upper bound on the window.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, ClassVar, Iterable, Sequence, Tuple
+from typing import Callable, ClassVar, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +55,6 @@ __all__ = [
     "BoundReport",
     "bound_report",
     "bound_sweep",
-    "write_bound_sweep_csv",
 ]
 
 #: Fixed two-sided momentum window for every integral in this module.
@@ -64,6 +62,11 @@ MOMENTUM_WINDOW = (2.0 ** 9) * math.pi
 
 _SQRT2 = math.sqrt(2.0)
 _EPS_Z = 1e-12  # |z| below this switches the propagator factor to its series
+# sup_constants: the linear search runs to _SUP_K_MAX over _SUP_POINTS points
+_SUP_K_MAX = 4.0 * math.pi
+_SUP_POINTS = 4096
+# empirical_error: largest relative move allowed under panel doubling
+_REFINE_RTOL = 1e-8
 
 
 class InadmissibleFilterError(ValueError):
@@ -195,14 +198,13 @@ def _grid_max(f: Callable, grid: np.ndarray, rounds: int = 3) -> Tuple[float, fl
     return best_v, best_k
 
 
-def sup_constants(t0_times_t: float = 0.25, scale_exponent: int = 0, *,
-                  k_max: float = 4.0 * math.pi,
-                  coarse_points: int = 4096) -> SupConstantsReport:
+def sup_constants(t0_times_t: float = 0.25,
+                  scale_exponent: int = 0) -> SupConstantsReport:
     """Maximize the four comparison-factor ratios over a refined grid.
 
     The grid joins a logarithmic sweep into the small-argument limit (where
-    all four ratios attain their suprema) with a linear sweep out to
-    ``k_max``, then zooms locally around the best point.
+    all four ratios attain their suprema) with a linear sweep of 4096
+    points out to ``4 pi``, then zooms locally around the best point.
 
     Parameters
     ----------
@@ -210,10 +212,6 @@ def sup_constants(t0_times_t: float = 0.25, scale_exponent: int = 0, *,
         Product ``t0 * t`` entering the propagator phases.
     scale_exponent : int
         Depth ``m``; the phase scale is ``c = 2 * t0_times_t * 2^m``.
-    k_max : float
-        Upper end of the search interval.
-    coarse_points : int
-        Points in the linear part of the coarse grid.
 
     Returns
     -------
@@ -223,7 +221,7 @@ def sup_constants(t0_times_t: float = 0.25, scale_exponent: int = 0, *,
     c = 2.0 * t0_times_t * (2.0 ** scale_exponent)
     grid = np.concatenate([
         np.geomspace(1e-8, 0.1, 241),
-        np.linspace(0.1, k_max, coarse_points)[1:],
+        np.linspace(0.1, _SUP_K_MAX, _SUP_POINTS)[1:],
     ])
     values = []
     locations = []
@@ -473,12 +471,11 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
 
 def empirical_error(m: int, t0: float, t: float, v1: SelfDualVector,
                     v2: SelfDualVector, filt: Filter, *,
-                    resolution: float = 1.0, refine_check: bool = True,
-                    rtol: float = 1e-8) -> float:
+                    resolution: float = 1.0) -> float:
     """Absolute difference of the renormalized and limit dynamical pairings.
 
-    With ``refine_check`` the panel density is doubled and the two results
-    compared; disagreement beyond ``rtol`` raises
+    Both pairings are evaluated at ``resolution`` and again with the panel
+    density doubled; disagreement beyond a relative ``1e-8`` raises
     :class:`OscillationResolutionError` (the fix is a higher
     ``resolution``).  The refined value is returned.
     """
@@ -490,10 +487,8 @@ def empirical_error(m: int, t0: float, t: float, v1: SelfDualVector,
         return abs(lat - lim)
 
     base = diff(resolution)
-    if not refine_check:
-        return base
     fine = diff(2.0 * resolution)
-    if abs(base - fine) > max(1e-10, rtol * max(1.0, fine)):
+    if abs(base - fine) > max(1e-10, _REFINE_RTOL * max(1.0, fine)):
         raise OscillationResolutionError(
             f"pairing quadrature moved by {abs(base - fine):.3e} under panel "
             f"doubling; rerun with resolution > {2.0 * resolution:g} to "
@@ -547,17 +542,4 @@ def bound_sweep(ms: Sequence[int], t0s: Sequence[float], t: float,
     """
     return tuple(bound_report(m, t0, t, v1, v2, filt, gamma)
                  for m in ms for t0 in t0s)
-
-
-def write_bound_sweep_csv(path, reports: Iterable[BoundReport]) -> None:
-    """Write a sweep as CSV: m, t0, empirical, bound, the four terms."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "t0", "empirical", "bound",
-                         "term_order1", "term_order2", "term_order3",
-                         "term_order4"])
-        for r in reports:
-            writer.writerow([r.m, repr(r.t0), repr(r.empirical_error),
-                             repr(r.certified_bound),
-                             *(repr(c) for c in r.components)])
 

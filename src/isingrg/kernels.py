@@ -263,9 +263,16 @@ def covariance_massive_thermal(k, mu0: float, beta0: float, t: float = 1.0) -> n
     """Massive/thermal scaling-limit covariance.
 
     Dispersion ``omega = sqrt(mu0^2 + k^2)``; direction ``(mu0 - i*k)/omega``;
-    thermal factor ``tanh(beta0*t*omega)``.  ``mu0 = beta0 = inf`` limits
-    reduce to the critical kernel.
+    thermal factor ``tanh(beta0*t*omega)``.  ``mu0 = 0, beta0 = inf``
+    reduces to the critical kernel.  Needs a finite ``mu0``, ``beta0`` in
+    ``(0, inf]`` and ``t > 0``.
     """
+    if not math.isfinite(mu0):
+        raise ValueError("mu0 must be finite")
+    if not (beta0 > 0):
+        raise ValueError("beta0 must be positive (math.inf allowed)")
+    if not (t > 0):
+        raise ValueError("t must be positive")
     kk = np.asarray(k, dtype=float)
     omega = np.hypot(mu0, kk)
     tt = _tanh_beta(math.inf if math.isinf(beta0) else beta0 * t, omega)

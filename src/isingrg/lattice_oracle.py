@@ -45,7 +45,6 @@ __all__ = [
     "partition_function_brute",
     "partition_function_transfer",
     "partition_function_tensor",
-    "transfer_bond_matrix",
     "transfer_field_matrix",
     "transfer_matrix",
     "symmetrized_transfer",
@@ -160,11 +159,6 @@ def _bond_weight_vector(spec: TorusSpec) -> np.ndarray:
     s = _spin_values(spec.n_cols)
     energy = np.einsum("cj,cj->c", s, np.roll(s, -1, axis=1))
     return np.exp(spec.K1 * energy)
-
-
-def transfer_bond_matrix(spec: TorusSpec) -> np.ndarray:
-    """Diagonal within-row bond factor ``exp(K1 sum_j s_j s_{j+1})`` (periodic)."""
-    return np.diag(_bond_weight_vector(spec))
 
 
 def transfer_field_matrix(spec: TorusSpec) -> np.ndarray:

@@ -79,6 +79,16 @@ _ORDER = 24
 _FINEST = np.pi / 64.0
 # nodes per block when a lag octave samples W C (bounds the sample's memory)
 _BLOCK = 1 << 15
+# momentum_cutoff: two-sided |s^|^2 tail target, cap 2^_CUTOFF_CAP pi, octaves
+# measured before extrapolating the tail, Gauss-Legendre order per octave
+_TAIL_TARGET = 1e-10
+_CUTOFF_CAP = 9
+_TAIL_OCTAVES = 12
+_TAIL_ORDER = 12
+# classify_flow: probed depths, half-width and points of the momentum window
+_CLASSIFY_DEPTHS = (4, 8, 12)
+_CLASSIFY_WINDOW = 0.125
+_CLASSIFY_POINTS = 65
 
 
 def _osc_width(*vectors: SiteVector) -> float:
@@ -99,9 +109,9 @@ class QuasiFreeState:
 
     Kinds: ``lattice`` (Gibbs state of the chain), ``renormalized``
     (``m``-step coarse-grained Gibbs state), ``critical_limit`` and
-    ``massive_thermal`` (wavelet-smeared scaling limits, the latter with
-    ``beta0`` in ``(0, inf]`` and ``t > 0``).  States compare and hash by
-    value, so equal states share lag-table entries.
+    ``massive_thermal`` (wavelet-smeared scaling limits, the latter with a
+    finite ``mu0``, ``beta0`` in ``(0, inf]`` and ``t > 0``).  States
+    compare and hash by value, so equal states share lag-table entries.
     """
 
     kind: str
@@ -122,6 +132,8 @@ class QuasiFreeState:
             raise ValueError(f"{self.kind} state needs a filter")
         if self.m < 0 or int(self.m) != self.m:
             raise ValueError("m must be a non-negative integer")
+        if not math.isfinite(self.mu0):
+            raise ValueError("mu0 must be finite")
         if not (self.beta0 > 0):
             raise ValueError("beta0 must be positive (math.inf allowed)")
         if not (self.t > 0):
@@ -290,8 +302,7 @@ class TailReport:
 
 
 @lru_cache(maxsize=64)
-def momentum_cutoff(filt: Filter, target: float = 1e-10, cap_exp: int = 9,
-                    horizon_exp: int = 12, order: int = 12) -> TailReport:
+def momentum_cutoff(filt: Filter) -> TailReport:
     """Choose the |k|-cutoff for limit-state quadrature from the |s^|^2 tail.
 
     Cached per filter contents (equal filters share an entry).
@@ -300,8 +311,8 @@ def momentum_cutoff(filt: Filter, target: float = 1e-10, cap_exp: int = 9,
         return np.abs(s_hat(filt, k)) ** 2 / np.pi  # two-sided mass density
 
     masses = []
-    for j in range(horizon_exp):
-        x, w = octave_nodes(j, order)
+    for j in range(_TAIL_OCTAVES):
+        x, w = octave_nodes(j, _TAIL_ORDER)
         masses.append(float(np.dot(w, density(x))))
     masses = np.array(masses)
 
@@ -309,16 +320,16 @@ def momentum_cutoff(filt: Filter, target: float = 1e-10, cap_exp: int = 9,
     remainder = masses[-1] * r / (1.0 - r) if 0.0 <= r < 0.9 else math.inf
 
     best = None
-    for j in range(1, cap_exp + 1):
+    for j in range(1, _CUTOFF_CAP + 1):
         tail = float(masses[j:].sum() + remainder)
-        if tail <= target:
+        if tail <= _TAIL_TARGET:
             best = ((2.0 ** j) * np.pi, tail, True)
             break
     if best is None:
-        tail_cap = float(masses[cap_exp:].sum() + remainder)
-        best = ((2.0 ** cap_exp) * np.pi, tail_cap, False)
+        tail_cap = float(masses[_CUTOFF_CAP:].sum() + remainder)
+        best = ((2.0 ** _CUTOFF_CAP) * np.pi, tail_cap, False)
 
-    return TailReport(cutoff=best[0], tail=best[1], target=target,
+    return TailReport(cutoff=best[0], tail=best[1], target=_TAIL_TARGET,
                       met=best[2], octave_masses=tuple(masses))
 
 
@@ -416,16 +427,17 @@ class FlowClassification:
                 "distances": {str(m): d for m, d in self.distances.items()}}
 
 
-def classify_flow(c: Couplings, m_values: Tuple[int, ...] = (4, 8, 12),
-                  window: float = 0.125, n_grid: int = 65) -> FlowClassification:
+def classify_flow(c: Couplings) -> FlowClassification:
     """Classify the coupling flow and measure convergence to its fixed point.
 
-    The flowed covariance at step ``m`` is the Gibbs kernel evaluated at
-    ``2^-m k``; it is compared on ``|k| <= window`` against the constant
-    disorder/order kernel (or the critical limit kernel when ``t1 = t3``).
+    The flowed covariance at steps ``m = 4, 8, 12`` is the Gibbs kernel
+    evaluated at ``2^-m k``; it is compared on ``|k| <= 0.125`` against the
+    constant disorder/order kernel (or the critical limit kernel when
+    ``t1 = t3``).
     """
     lam = c.flow_parameter
-    k = np.linspace(-window, window, n_grid)
+    window = _CLASSIFY_WINDOW
+    k = np.linspace(-window, window, _CLASSIFY_POINTS)
     if abs(lam) < 1e-14:
         label = "critical"
         target = covariance_critical_limit(k)
@@ -437,9 +449,9 @@ def classify_flow(c: Couplings, m_values: Tuple[int, ...] = (4, 8, 12),
         target = np.broadcast_to(ORDER_KERNEL, k.shape + (2, 2))
 
     distances = {}
-    for m in m_values:
+    for m in _CLASSIFY_DEPTHS:
         flowed = covariance_lattice(c, (2.0 ** -m) * k)
-        distances[int(m)] = float(np.abs(flowed - target).max())
+        distances[m] = float(np.abs(flowed - target).max())
     return FlowClassification(label=label, distances=distances, window=window)
 
 

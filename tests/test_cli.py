@@ -1,14 +1,14 @@
-"""Batch command surface: config round-trips, deterministic table output,
-exit codes, output redirection, and the self-check subcommand."""
+"""Batch command surface: recorded configuration, deterministic table
+output, exit codes, output redirection, and the self-check subcommand."""
 
+import argparse
 import csv
 import json
-import math
 
 import numpy as np
 import pytest
 
-from isingrg.cli import RunConfig, main
+from isingrg.cli import build_parser, main
 from isingrg.wavelet import make_daubechies_filter
 
 
@@ -31,21 +31,46 @@ def read_table(path):
 
 
 # ---------------------------------------------------------------------------
-# config round-trip
+# recorded configuration
 
 
-def test_runconfig_json_roundtrip():
-    cfg = RunConfig(command="spincorr", filter_taps=8, beta=math.inf,
-                    m=3, options=(("state", "lattice"), ("dmax", "12")))
-    back = RunConfig.from_json(cfg.to_json())
-    # options are serialized as a sorted mapping, so compare mappings and
-    # require the round trip to be a fixed point
-    assert back.to_mapping() == cfg.to_mapping()
-    assert RunConfig.from_json(back.to_json()) == back
-    assert math.isinf(back.beta)
-    payload = json.loads(cfg.to_json())
-    assert payload["beta"] == "inf"
-    assert payload["options"] == {"state": "lattice", "dmax": "12"}
+def parsed_flags():
+    """Destination names of every subcommand's flags, by subcommand."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest for a in p._actions if a.dest != "help"}
+            for name, p in sub.choices.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["filters", "--filter", "d4", "--out", "t.csv"],
+    ["kernel", "--points", "3", "--format", "json", "--out", "t.json"],
+    ["flow", "--filter", "haar", "--t3", "0.5", "--out", "t.csv"],
+    ["spincorr", "--state", "lattice", "--dmax", "1", "--out", "t.csv"],
+    ["oracle", "--out", "t.csv"],
+    ["verify", "--suite", "wavelet", "--out", "t.json"],
+])
+def test_config_records_exactly_the_parsed_flags(argv, tmp_path, monkeypatch):
+    assert run_cli(argv, monkeypatch, tmp_path) == 0
+    path = tmp_path / argv[-1]
+    if path.suffix == ".json":
+        config = json.loads(path.read_text())["config"]
+    else:
+        config = json.loads(read_table(path)[0][1].removeprefix("# config: "))
+    assert set(config) == {"command"} | parsed_flags()[argv[0]]
+    assert config["command"] == argv[0]
+
+
+def test_config_records_resolved_values(tmp_path, monkeypatch):
+    # --critical is applied and the kind's kmax resolved before recording
+    assert run_cli(["kernel", "--critical", "--t1", "2", "--t3", "0.5",
+                    "--beta", "3", "--points", "3", "--out", "k.csv"],
+                   monkeypatch, tmp_path) == 0
+    header, _, rows = read_table(tmp_path / "k.csv")
+    config = json.loads(header[1].removeprefix("# config: "))
+    assert (config["t1"], config["t3"], config["beta"]) == (2.0, 2.0, "inf")
+    assert config["kmax"] == 10.0 and float(rows[0][0]) == -10.0
+    assert config["beta0"] == "inf"
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +210,26 @@ def test_spincorr_rejects_nonphysical_massive_state(tmp_path, monkeypatch,
         assert code == 2
         assert not (tmp_path / "x.csv").exists()
         assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # a flipped population, a non-positive velocity or a non-finite mass
+    ["kernel", "--kind", "massive-thermal", "--beta0", "-1"],
+    ["kernel", "--kind", "massive-thermal", "--t1", "-1"],
+    ["kernel", "--kind", "massive-thermal", "--mu0", "nan"],
+    ["spincorr", "--filter", "d4", "--state", "massive-thermal", "--mu0",
+     "nan", "--dmax", "1"],
+    # sizes that would give an empty, reversed or degenerate table
+    ["spincorr", "--state", "lattice", "--dmax", "0"],
+    ["spincorr", "--state", "lattice", "--dmax", "-2"],
+    ["kernel", "--kmax", "-1"],
+    ["kernel", "--kmax", "0"],
+    ["kernel", "--points", "0"],
+])
+def test_rejected_input_writes_no_file(argv, tmp_path, monkeypatch, capsys):
+    assert run_cli(argv + ["--out", "x.csv"], monkeypatch, tmp_path) == 2
+    assert not (tmp_path / "x.csv").exists()
+    assert "must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["oracle", "--m", "3"],

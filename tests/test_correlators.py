@@ -126,6 +126,12 @@ def test_state_validation(d8):
     assert QuasiFreeState.massive_thermal(d8, 1.0, math.inf).beta0 == math.inf
 
 
+def test_massive_state_needs_finite_mass(d8):
+    for mu0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="mu0"):
+            QuasiFreeState.massive_thermal(d8, mu0, 2.0)
+
+
 def test_renormalized_depth_validation(d4):
     # a depth that is not a non-negative integer is rejected, not truncated
     c = Couplings.critical()

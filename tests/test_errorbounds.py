@@ -2,11 +2,13 @@
 norms, the assembled bound, dynamical pairings, and the sweep reports."""
 
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
+from isingrg import cli
 from isingrg.errorbounds import (
     MOMENTUM_WINDOW,
     BoundReport,
@@ -21,7 +23,6 @@ from isingrg.errorbounds import (
     empirical_error,
     sobolev_norm,
     sup_constants,
-    write_bound_sweep_csv,
     _sobolev_cached,
     _weight_octave_ratio,
 )
@@ -280,11 +281,25 @@ def test_report_satisfied_flag_logic():
     assert edge.satisfied  # within the shared quadrature tolerance
 
 
-def test_bound_sweep_csv_roundtrip(tmp_path, small_sweep):
-    path = tmp_path / "sweep.csv"
-    write_bound_sweep_csv(path, small_sweep)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+def test_verify_writes_bound_sweep_table(tmp_path, monkeypatch, small_sweep,
+                                         d8):
+    # verify sweeps the small grid; the module's sweep of that grid stands in
+    # for it, so the test reads the file against known reports
+    grids = []
+
+    def sweep(*grid):
+        grids.append(grid)
+        return small_sweep
+
+    monkeypatch.setattr(cli, "bound_sweep", sweep)
+    monkeypatch.setenv("ISINGRG_OUTDIR", str(tmp_path))
+    assert cli.main(["verify", "--suite", "errorbounds", "--out", "rep.json"]) == 0
+    assert grids == [((2, 4), (0.0, 0.5), 1.0, V_DIFF0, V_SUM1, d8)]
+    lines = (tmp_path / "bound_sweep_small.csv").read_text().splitlines()
+    assert lines[0].startswith("# isingrg ")
+    config = json.loads(lines[1].removeprefix("# config: "))
+    assert config == json.loads((tmp_path / "rep.json").read_text())["config"]
+    rows = list(csv.reader(lines[2:]))
     assert rows[0] == ["m", "t0", "empirical", "bound", "term_order1",
                        "term_order2", "term_order3", "term_order4"]
     assert len(rows) == 1 + len(small_sweep)
@@ -294,4 +309,3 @@ def test_bound_sweep_csv_roundtrip(tmp_path, small_sweep):
         assert float(row[2]) == rep.empirical_error  # repr round-trips
         assert float(row[3]) == rep.certified_bound
         assert tuple(float(x) for x in row[4:]) == rep.components
-

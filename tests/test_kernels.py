@@ -194,6 +194,19 @@ def test_massive_thermal_gap_suppression():
     np.testing.assert_allclose(c[0], [[1, 1j], [-1j, 1]], atol=5e-4)
 
 
+def test_massive_thermal_rejects_nonphysical_parameters():
+    # beta0 <= 0 or t <= 0 would flip the off-diagonal sign and a non-finite
+    # mass would zero it; every caller shares this one check
+    k = np.array([-1.0, 0.5])
+    for mu0, beta0, t in ((1.0, -1.0, 1.0), (1.0, 0.0, 1.0),
+                          (1.0, math.nan, 1.0), (1.0, 2.0, 0.0),
+                          (1.0, 2.0, -1.0), (math.nan, 2.0, 1.0),
+                          (math.inf, 2.0, 1.0)):
+        with pytest.raises(ValueError):
+            covariance_massive_thermal(k, mu0, beta0, t)
+    assert np.isfinite(covariance_massive_thermal(k, -0.5, math.inf)).all()
+
+
 def test_massive_thermal_hermitian_spectrum():
     k = np.linspace(-5, 5, 41)
     c = covariance_massive_thermal(k, mu0=1.3, beta0=0.7, t=1.2)

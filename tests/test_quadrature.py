@@ -65,11 +65,6 @@ def test_integrate_kink():
     assert val == pytest.approx(4.0, rel=1e-10)
 
 
-def test_integrate_half_line():
-    val = integrate(lambda k: np.exp(-k), 30.0, 1e-4, order=16, symmetric=False)
-    assert val == pytest.approx(1.0, rel=1e-12)
-
-
 def test_integrate_deterministic():
     f = lambda k: np.cos(3 * k) / (1 + k * k)
     a = integrate(f, 20.0, 1e-5, order=14)
