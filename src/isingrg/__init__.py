@@ -6,8 +6,8 @@ Subpackage map
     Daubechies filter bank: taps, transfer function, scaling-function
     transform, quadrature-mirror identities.
 ``kernels``
-    One-particle Hamiltonian and quasi-free covariance kernels (lattice
-    Gibbs, critical and massive/thermal scaling limits).
+    Covariance and propagator of the energy symbol ``z`` (lattice Gibbs,
+    critical and massive/thermal scaling limits).
 ``rgflow``
     Quasi-free states and their lag tables, the two-point functions read
     off them (renormalized flow and scaling limits), momentum window

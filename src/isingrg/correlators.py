@@ -274,7 +274,8 @@ def toeplitz_correlation(state: QuasiFreeState, separation: int) -> complex:
     return complex(np.linalg.det(sym.matrix()))
 
 
-def transverse_field_expectation(state: QuasiFreeState, site: int = 0) -> float:
+def transverse_field_expectation(state: QuasiFreeState) -> float:
     """``<s1_j> = <(a_j + a*_j)(a_j - a*_j)>`` (``2/pi`` on the critical
-    chain), the (sum, diff) entry of the lag table at lag 0."""
-    return float(np.real(_tagged_two_point(state, "sum", site, "diff", site)))
+    chain), the (sum, diff) entry of the lag table at lag 0; the same at
+    every site ``j``, since every state is translation invariant."""
+    return float(np.real(_tagged_two_point(state, "sum", 0, "diff", 0)))

@@ -10,7 +10,9 @@ smeared two-point functions approach the scaling-limit dynamics at rate
 * a certified bound assembled from products of Sobolev-weighted norms of
   the smearing vectors, with the explicit ``2^{-m}`` prefactor,
 * direct quadrature of both dynamical pairings and their absolute
-  difference (the empirical error the bound must dominate).
+  difference (the empirical error the bound must dominate); each side is
+  the ground-state covariance times the propagator of :mod:`isingrg.kernels`,
+  at the lattice symbol ``z(2^-m k)`` or at its scaling limit ``-i t k``.
 
 All momentum integrals are evaluated on the fixed computational window
 ``|k| <= 2^9 * pi`` shared with the scaling-limit states.  On that common
@@ -31,13 +33,7 @@ from typing import Callable, ClassVar, Sequence, Tuple
 import numpy as np
 
 from ._quadrature import octave_nodes, symmetric_nodes
-from .kernels import (
-    Couplings,
-    SelfDualVector,
-    covariance_critical_limit,
-    covariance_lattice,
-    z_theta,
-)
+from .kernels import Couplings, SelfDualVector, covariance, propagator, z_theta
 from .wavelet import Filter, s_hat
 
 __all__ = [
@@ -61,7 +57,6 @@ __all__ = [
 MOMENTUM_WINDOW = (2.0 ** 9) * math.pi
 
 _SQRT2 = math.sqrt(2.0)
-_EPS_Z = 1e-12  # |z| below this switches the propagator factor to its series
 # sup_constants: the linear search runs to _SUP_K_MAX over _SUP_POINTS points
 _SUP_K_MAX = 4.0 * math.pi
 _SUP_POINTS = 4096
@@ -393,18 +388,14 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
     """Windowed dynamical pairing of two smeared doubled-space vectors.
 
     Evaluates ``(1/2pi) Int |s^(k)|^2 w1(k)^dag M(k) conj(w2(-k)) dk`` with
+    ``M(k) = covariance(z, inf) @ propagator(z, tau)`` (both from
+    :mod:`isingrg.kernels`) at
 
-    * ``side="renormalized"``: ``M(k) = C_lat(2^{-m}k) exp(i 2^m t0 h(2^{-m}k))``
-      over ``|k| <= min(2^m pi, window)`` — the depth-``m`` lattice state
-      evolved by the lattice one-particle Hamiltonian for rescaled time
-      ``2^m t0``;
-    * ``side="limit"``: ``M(k) = C_lim(k) exp(i t0 t * 2k * flip)`` over the
-      full window — the scaling-limit state evolved by the limiting
-      dispersion ``2 t k`` acting through the off-diagonal flip.
-
-    The propagator is evaluated in closed form,
-    ``cos(2 tau |z|) I + i sin(2 tau |z|) h/(2|z|)``, with the removable
-    ``|z| -> 0`` limit taken by series.
+    * ``side="renormalized"``: ``z = z_theta(critical(t), 2^{-m} k)``,
+      ``tau = 2^m t0``, over ``|k| <= min(2^m pi, window)`` — the depth-``m``
+      lattice state evolved by the lattice Hamiltonian for rescaled time;
+    * ``side="limit"``: ``z = -i t k``, ``tau = t0``, over the full window —
+      the critical scaling-limit state evolved by its limiting dispersion.
 
     Parameters
     ----------
@@ -414,7 +405,7 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
         Renormalization depth (sets the Brillouin window and time rescaling
         on the renormalized side; ignored on the limit side).
     t0, t : float
-        Time separation and hopping amplitude.
+        Time separation and hopping amplitude (``t`` positive and finite).
     v1, v2 : SelfDualVector
         Smearing vectors; the second enters conjugated, matching the
         pairing convention of the static two-point functions.
@@ -430,37 +421,20 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
     """
     if side not in ("renormalized", "limit"):
         raise ValueError("side must be 'renormalized' or 'limit'")
+    if not (0 < t < math.inf):
+        raise ValueError("t must be positive and finite")
     window = MOMENTUM_WINDOW
     if side == "renormalized":
         window = min(window, (2.0 ** m) * math.pi)
     k, wq = _pairing_nodes(window, t0, t, resolution)
 
     if side == "renormalized":
-        theta = k * (2.0 ** -m)
-        c = Couplings.critical(t)
-        cov = covariance_lattice(c, theta)
-        z = np.asarray(z_theta(c, theta))
-        absz = np.abs(z)
+        z = z_theta(Couplings.critical(t), k * (2.0 ** -m))
         tau = t0 * (2.0 ** m)
-        phase = 2.0 * tau * absz
-        safe = np.where(absz > _EPS_Z, absz, 1.0)
-        sfac = np.where(absz > _EPS_Z, np.sin(phase) / (2.0 * safe),
-                        tau * (1.0 - phase * phase / 6.0))
-        prop = np.zeros(z.shape + (2, 2), dtype=complex)
-        prop[..., 0, 0] = np.cos(phase)
-        prop[..., 1, 1] = np.cos(phase)
-        prop[..., 0, 1] = 2.0 * sfac * np.conj(z)
-        prop[..., 1, 0] = -2.0 * sfac * z
-        mat = cov @ prop
     else:
-        cov = covariance_critical_limit(k)
-        phase = 2.0 * t0 * t * k
-        prop = np.zeros(k.shape + (2, 2), dtype=complex)
-        prop[..., 0, 0] = np.cos(phase)
-        prop[..., 1, 1] = np.cos(phase)
-        prop[..., 0, 1] = 1j * np.sin(phase)
-        prop[..., 1, 0] = 1j * np.sin(phase)
-        mat = cov @ prop
+        z = -1j * t * k
+        tau = t0
+    mat = covariance(z, math.inf) @ propagator(z, tau)
 
     w1 = v1.weight(k)
     w2c = v2.weight_conj_reflected(k)

@@ -1,20 +1,28 @@
 """Quasi-free covariance kernels for the fermionic Ising chain.
 
 Momentum-space two-point data of the lattice Gibbs states and their scaling
-limits.  The one-particle energy density is ``z(theta) = t1 - t3*exp(i*theta)``
-(``t1`` transverse-field coupling, ``t3`` bond coupling); the one-particle
-Hamiltonian on the doubled (self-dual) space is
+limits, all as functions of one complex energy symbol ``z``.  On the lattice
+``z(theta) = t1 - t3*exp(i*theta)`` (``t1`` transverse-field coupling, ``t3``
+bond coupling); in the scaling limit ``z = t*(mu0 - i*k)``, the limit of
+``2^m z(2^-m k)`` along :func:`isingrg.rgflow.calibrated_couplings`.  The
+one-particle Hamiltonian on the doubled (self-dual) space is
 
-    h(theta) = 2 * [[0, -i*conj(z)], [i*z, 0]],
+    h(z) = 2 * [[0, -i*conj(z)], [i*z, 0]],
 
-with eigenvalues ``+-2|z(theta)|``.  The Gibbs covariance is
+with eigenvalues ``+-2|z|``.  Two closed forms serve every symbol: the Gibbs
+covariance
 
-    C_beta(theta) = 2 * (exp(beta*h(theta)) + 1)^(-1)
-                  = [[1, i*conj(z)/|z| * T], [-i*z/|z| * T, 1]],
+    covariance(z, beta) = 2 * (exp(beta*h(z)) + 1)^(-1)
+                        = [[1, i*conj(z)/|z| * T], [-i*z/|z| * T, 1]],
 
-``T = tanh(beta*|z|)``.  ``C`` is Hermitian with eigenvalues ``1 +- T`` in
-``[0, 2]``.  At removable points (``|z| = 0``, and ``k = 0`` in the scaling
-limits) the off-diagonal part is defined as 0, matching ``sign(0) = 0``.
+``T = tanh(beta*|z|)``, Hermitian with eigenvalues ``1 +- T`` in ``[0, 2]``,
+and the time evolution
+
+    propagator(z, tau) = exp(i*tau*h(z))
+                       = cos(2 tau|z|) I + i sin(2 tau|z|) h(z)/(2|z|).
+
+At the removable zero ``|z| = 0`` (and ``k = 0`` of the critical limit) the
+off-diagonal covariance is 0, matching ``sign(0) = 0``.
 
 Two-point functions of a state pair doubled-space weights through its
 covariance kernel; :mod:`isingrg.rgflow` reads them all off one lag table
@@ -35,13 +43,15 @@ __all__ = [
     "Couplings",
     "z_theta",
     "one_particle_h",
+    "covariance",
+    "propagator",
     "covariance_lattice",
     "gibbs_covariance",
     "covariance_critical_limit",
     "covariance_massive_thermal",
 ]
 
-_EPS_Z = 1e-300  # |z| below this is treated as an exact removable zero
+_EPS_Z = 1e-300  # |z| at or below this is an exact removable zero
 
 
 @dataclass(frozen=True)
@@ -157,10 +167,10 @@ class SelfDualVector:
 class Couplings:
     """Transverse-field / bond couplings and inverse temperature.
 
-    ``t1 > 0``, ``t3 >= 0``, ``beta`` in ``(0, inf]`` (``math.inf`` for the
-    ground state).  ``flow_parameter`` is ``1 - t3/t1``: positive values flow
-    to the disorder fixed point, negative to the order fixed point, zero is
-    critical.
+    Finite ``t1 > 0`` and ``t3 >= 0``, ``beta`` in ``(0, inf]`` (``math.inf``
+    for the ground state).  ``flow_parameter`` is ``1 - t3/t1``: positive
+    values flow to the disorder fixed point, negative to the order fixed
+    point, zero is critical.
     """
 
     t1: float
@@ -168,10 +178,10 @@ class Couplings:
     beta: float = math.inf
 
     def __post_init__(self):
-        if not (self.t1 > 0):
-            raise ValueError("t1 must be positive")
-        if not (self.t3 >= 0):
-            raise ValueError("t3 must be non-negative")
+        if not (0 < self.t1 < math.inf):
+            raise ValueError("t1 must be positive and finite")
+        if not (0 <= self.t3 < math.inf):
+            raise ValueError("t3 must be non-negative and finite")
         if not (self.beta > 0):
             raise ValueError("beta must be positive (math.inf allowed)")
 
@@ -190,44 +200,54 @@ def z_theta(c: Couplings, theta) -> np.ndarray:
     return c.t1 - c.t3 * np.exp(1j * th)
 
 
+def _blocks(diag, upper, lower) -> np.ndarray:
+    """2x2 matrices ``[[diag, upper], [lower, diag]]``, shape ``(..., 2, 2)``."""
+    out = np.empty(np.shape(lower) + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = diag
+    out[..., 0, 1] = upper
+    out[..., 1, 0] = lower
+    return out
+
+
 def one_particle_h(c: Couplings, theta) -> np.ndarray:
     """Doubled-space one-particle Hamiltonian, shape ``(..., 2, 2)``."""
     z = np.asarray(z_theta(c, theta))
-    out = np.zeros(z.shape + (2, 2), dtype=complex)
-    out[..., 0, 1] = -2j * np.conj(z)
-    out[..., 1, 0] = 2j * z
-    return out
+    return _blocks(0.0, -2j * np.conj(z), 2j * z)
 
 
-def _tanh_beta(beta: float, absz: np.ndarray) -> np.ndarray:
-    """``tanh(beta*|z|)`` with the removable convention tanh(inf*0) = 0."""
-    absz = np.asarray(absz, dtype=float)
-    if math.isinf(beta):
-        return (absz > _EPS_Z).astype(float)
-    return np.tanh(beta * absz)
+def covariance(z, beta: float) -> np.ndarray:
+    """Gibbs covariance ``2*(exp(beta*h(z))+1)^(-1)`` at the energy symbol ``z``.
 
-
-def _phase_t(c: Couplings, theta):
-    """(z/|z|)*tanh(beta|z|) with value 0 at |z| = 0."""
-    z = np.asarray(z_theta(c, theta))
+    ``[[1, i*conj(p)], [-i*p, 1]]`` with ``p = (z/|z|)*tanh(beta*|z|)`` and
+    ``p = 0`` at the removable zero ``|z| <= _EPS_Z``; shape ``(..., 2, 2)``,
+    Hermitian, eigenvalues ``1 +- tanh(beta*|z|)``.  ``beta`` is in
+    ``(0, inf]``.
+    """
+    z = np.asarray(z, dtype=complex)
     absz = np.abs(z)
-    t = _tanh_beta(c.beta, absz)
-    safe = np.where(absz > _EPS_Z, absz, 1.0)
-    return np.where(absz > _EPS_Z, z / safe * t, 0.0)
+    live = absz > _EPS_Z
+    thermal = 1.0 if math.isinf(beta) else np.tanh(beta * absz)
+    p = np.where(live, z / np.where(live, absz, 1.0) * thermal, 0.0)
+    return _blocks(1.0, 1j * np.conj(p), -1j * p)
+
+
+def propagator(z, tau: float) -> np.ndarray:
+    """Time evolution ``exp(i*tau*h(z))`` at the energy symbol ``z``.
+
+    ``cos(2 tau|z|) I + i sin(2 tau|z|) h(z)/(2|z|)``, with the removable
+    ``|z| -> 0`` limit ``sin(2 tau|z|)/(2|z|) -> tau``; shape ``(..., 2, 2)``.
+    """
+    z = np.asarray(z, dtype=complex)
+    absz = np.abs(z)
+    live = absz > _EPS_Z
+    phase = 2.0 * tau * absz
+    sfac = np.where(live, np.sin(phase) / (2.0 * np.where(live, absz, 1.0)), tau)
+    return _blocks(np.cos(phase), 2.0 * sfac * np.conj(z), -2.0 * sfac * z)
 
 
 def covariance_lattice(c: Couplings, theta) -> np.ndarray:
-    """Gibbs covariance ``2*(exp(beta*h)+1)^(-1)`` in closed form.
-
-    Shape ``(..., 2, 2)``; Hermitian, eigenvalues ``1 +- tanh(beta*|z|)``.
-    """
-    pt = np.asarray(_phase_t(c, theta))
-    out = np.zeros(pt.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = 1.0
-    out[..., 0, 1] = 1j * np.conj(pt)
-    out[..., 1, 0] = -1j * pt
-    return out
+    """Lattice Gibbs covariance: :func:`covariance` at ``z_theta(c, theta)``."""
+    return covariance(z_theta(c, theta), c.beta)
 
 
 def gibbs_covariance(c: Couplings, theta) -> np.ndarray:
@@ -248,39 +268,29 @@ def gibbs_covariance(c: Couplings, theta) -> np.ndarray:
 
 
 def covariance_critical_limit(k) -> np.ndarray:
-    """Scaling-limit covariance at criticality: ``[[1, -sign k], [-sign k, 1]]``."""
-    kk = np.asarray(k, dtype=float)
-    s = np.sign(kk)
-    out = np.zeros(kk.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = 1.0
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = -s
-    return out
+    """Scaling-limit covariance at criticality, :func:`covariance` at
+    ``z = -i*k``, ``beta = inf``: ``[[1, -sign k], [-sign k, 1]]``."""
+    return covariance(-1j * np.asarray(k, dtype=float), math.inf)
 
 
 def covariance_massive_thermal(k, mu0: float, beta0: float, t: float = 1.0) -> np.ndarray:
-    """Massive/thermal scaling-limit covariance.
+    """Massive/thermal scaling-limit covariance: :func:`covariance` at the
+    limit symbol ``z = t*(mu0 - i*k)`` and ``beta0``.
 
-    Dispersion ``omega = sqrt(mu0^2 + k^2)``; direction ``(mu0 - i*k)/omega``;
-    thermal factor ``tanh(beta0*t*omega)``.  ``mu0 = 0, beta0 = inf``
-    reduces to the critical kernel.  Needs a finite ``mu0``, ``beta0`` in
-    ``(0, inf]`` and ``t > 0``.
+    Dispersion ``|z| = t*sqrt(mu0^2 + k^2)``, thermal factor
+    ``tanh(beta0*|z|)``.  ``mu0 = 0, beta0 = inf`` is the critical kernel
+    for every ``t``.  Needs a finite ``mu0``, ``beta0`` in ``(0, inf]`` and
+    a positive, finite ``t``.
     """
+    _check_limit_symbol(mu0, beta0, t)
+    return covariance(t * (mu0 - 1j * np.asarray(k, dtype=float)), beta0)
+
+
+def _check_limit_symbol(mu0: float, beta0: float, t: float) -> None:
+    """Reject a limit symbol ``t*(mu0 - i*k)`` at ``beta0`` naming no state."""
     if not math.isfinite(mu0):
         raise ValueError("mu0 must be finite")
     if not (beta0 > 0):
         raise ValueError("beta0 must be positive (math.inf allowed)")
-    if not (t > 0):
-        raise ValueError("t must be positive")
-    kk = np.asarray(k, dtype=float)
-    omega = np.hypot(mu0, kk)
-    tt = _tanh_beta(math.inf if math.isinf(beta0) else beta0 * t, omega)
-    safe = np.where(omega > _EPS_Z, omega, 1.0)
-    dirn = np.where(omega > _EPS_Z, (mu0 - 1j * kk) / safe * tt, 0.0)
-    out = np.zeros(kk.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = 1.0
-    out[..., 0, 1] = 1j * np.conj(dirn)
-    out[..., 1, 0] = -1j * dirn
-    return out
+    if not (0 < t < math.inf):
+        raise ValueError("t must be positive and finite")

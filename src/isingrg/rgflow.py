@@ -8,11 +8,13 @@ vectors is a finite sum over the state's 2x2 lag table
 
     P(s) = (1/2pi) Int e^{iks} W(k) C(k) dk,
 
-with the covariance kernel ``C`` of :mod:`isingrg.kernels` and the spectral
-weight ``W``: 1 on ``[-pi, pi]`` for the lattice Gibbs state, the cascade
-weight ``W_m(k) = prod_{n=1..m} |m0(2^-n k)|^2`` on ``|k| < 2^m pi`` (kernel
-taken at ``2^-m k``) for the ``m``-times renormalized state, and ``|s^(k)|^2``
-up to :func:`momentum_cutoff` for the critical and massive/thermal limits.
+with ``C = kernels.covariance(z, beta)`` at the state's energy symbol and
+the spectral weight ``W``.  The ``m``-times renormalized Gibbs state takes
+``z(2^-m k)`` and ``W_m(k) = prod_{n=1..m} |m0(2^-n k)|^2`` on
+``|k| < 2^m pi``; ``m = 0`` (``W_0 = 1``) is the lattice state.  The
+massive/thermal scaling limit takes ``t(mu0 - i k)`` at ``beta0`` and
+``|s^(k)|^2`` up to :func:`momentum_cutoff`; ``mu0 = 0, beta0 = inf`` is
+the critical limit.
 A doubled-space vector with site weights ``w_j = (xi_j, eta_j)`` pairs as
 
     <Psi(v1) Psi(v2)> = sum_{j,l} conj(w1_j)^T P(j - l) conj(w2_l),
@@ -41,6 +43,7 @@ from .kernels import (
     Couplings,
     SelfDualVector,
     SiteVector,
+    _check_limit_symbol,
     covariance_critical_limit,
     covariance_lattice,
     covariance_massive_thermal,
@@ -48,6 +51,7 @@ from .kernels import (
 from .wavelet import Filter, cascade_product, s_hat
 
 __all__ = [
+    "MAX_DEPTH",
     "DISORDER_KERNEL",
     "ORDER_KERNEL",
     "QuasiFreeState",
@@ -66,6 +70,10 @@ __all__ = [
 ]
 
 _KINDS = ("a_adag", "adag_adag", "a_a", "adag_a")
+
+#: Deepest renormalized state: its lag table samples about ``2^m`` panels
+#: (a few seconds at ``m = 16``), so deeper requests are refused up front.
+MAX_DEPTH = 16
 
 #: Fixed-point covariance kernels of the coupling flow (constant in momentum).
 DISORDER_KERNEL = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
@@ -107,11 +115,12 @@ def _osc_width(*vectors: SiteVector) -> float:
 class QuasiFreeState:
     """Handle naming one of the translation-invariant quasi-free states.
 
-    Kinds: ``lattice`` (Gibbs state of the chain), ``renormalized``
-    (``m``-step coarse-grained Gibbs state), ``critical_limit`` and
-    ``massive_thermal`` (wavelet-smeared scaling limits, the latter with a
-    finite ``mu0``, ``beta0`` in ``(0, inf]`` and ``t > 0``).  States
-    compare and hash by value, so equal states share lag-table entries.
+    Two kinds: ``renormalized`` (the chain's Gibbs state coarse-grained
+    ``m <= MAX_DEPTH`` times; ``m = 0``, the lattice state, keeps no filter)
+    and ``massive_thermal`` (wavelet-smeared scaling limit; its ``mu0 = 0,
+    beta0 = inf`` member, where the unread ``t`` is set to 1, is the critical
+    limit).  States compare and hash by value, so equal states share
+    lag-table entries.
     """
 
     kind: str
@@ -123,26 +132,31 @@ class QuasiFreeState:
     t: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("lattice", "renormalized", "critical_limit",
-                             "massive_thermal"):
+        if self.kind not in ("renormalized", "massive_thermal"):
             raise ValueError(f"unknown state kind {self.kind!r}")
-        if self.kind in ("lattice", "renormalized") and self.couplings is None:
-            raise ValueError(f"{self.kind} state needs couplings")
-        if self.kind != "lattice" and self.filt is None:
-            raise ValueError(f"{self.kind} state needs a filter")
         if self.m < 0 or int(self.m) != self.m:
             raise ValueError("m must be a non-negative integer")
-        if not math.isfinite(self.mu0):
-            raise ValueError("mu0 must be finite")
-        if not (self.beta0 > 0):
-            raise ValueError("beta0 must be positive (math.inf allowed)")
-        if not (self.t > 0):
-            raise ValueError("t must be positive")
+        if self.m > MAX_DEPTH:
+            raise ValueError(f"m must be at most {MAX_DEPTH} (the lag table "
+                             "samples about 2^m panels)")
         object.__setattr__(self, "m", int(self.m))
+        if self.kind == "renormalized":
+            if self.couplings is None:
+                raise ValueError("renormalized state needs couplings")
+            if self.m == 0:  # W_0 = 1: the lattice state reads no filter
+                object.__setattr__(self, "filt", None)
+            elif self.filt is None:
+                raise ValueError("renormalized state at m > 0 needs a filter")
+            return
+        if self.filt is None:
+            raise ValueError("massive_thermal state needs a filter")
+        _check_limit_symbol(self.mu0, self.beta0, self.t)
+        if math.isinf(self.beta0):
+            object.__setattr__(self, "t", 1.0)
 
     @classmethod
     def lattice(cls, couplings: Couplings) -> "QuasiFreeState":
-        return cls(kind="lattice", couplings=couplings)
+        return cls(kind="renormalized", couplings=couplings)
 
     @classmethod
     def renormalized(cls, couplings: Couplings, filt: Filter, m: int) -> "QuasiFreeState":
@@ -150,7 +164,7 @@ class QuasiFreeState:
 
     @classmethod
     def critical_limit(cls, filt: Filter) -> "QuasiFreeState":
-        return cls(kind="critical_limit", filt=filt)
+        return cls(kind="massive_thermal", filt=filt)
 
     @classmethod
     def massive_thermal(cls, filt: Filter, mu0: float, beta0: float,
@@ -160,19 +174,11 @@ class QuasiFreeState:
 
 def _state_kernel_weight(state: QuasiFreeState):
     """Return (kernel(k), weight(k), kmax) of the state's pairing integral."""
-    if state.kind == "lattice":
-        c = state.couplings
-        return (lambda k: covariance_lattice(c, k),
-                lambda k: np.ones(np.shape(k)), np.pi)
     if state.kind == "renormalized":
         c, f, m = state.couplings, state.filt, state.m
         scale = 2.0 ** m
         return (lambda k: covariance_lattice(c, k / scale),
                 lambda k: np.abs(cascade_product(f, k, m)) ** 2, scale * np.pi)
-    if state.kind == "critical_limit":
-        f = state.filt
-        return (covariance_critical_limit,
-                lambda k: np.abs(s_hat(f, k)) ** 2, momentum_cutoff(f).cutoff)
     f, mu0, beta0, t = state.filt, state.mu0, state.beta0, state.t
     return (lambda k: covariance_massive_thermal(k, mu0, beta0, t),
             lambda k: np.abs(s_hat(f, k)) ** 2, momentum_cutoff(f).cutoff)
@@ -456,7 +462,11 @@ def classify_flow(c: Couplings) -> FlowClassification:
 
 
 def renormalization_isometry_defect(filt: Filter, xi: SiteVector, m: int) -> float:
-    """| ||R^m xi||^2 - ||xi||^2 | for the iterated coarse-graining isometry."""
+    """| ||R^m xi||^2 - ||xi||^2 | for the iterated coarse-graining isometry
+    (``m <= MAX_DEPTH``: the window holds about ``2^m`` panels)."""
+    if m > MAX_DEPTH:
+        raise ValueError(f"m must be at most {MAX_DEPTH}")
+
     def f(k):
         return np.abs(cascade_product(filt, k, m)) ** 2 * np.abs(xi.hat(k)) ** 2
 

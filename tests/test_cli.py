@@ -219,6 +219,14 @@ def test_spincorr_rejects_nonphysical_massive_state(tmp_path, monkeypatch,
     ["kernel", "--kind", "massive-thermal", "--mu0", "nan"],
     ["spincorr", "--filter", "d4", "--state", "massive-thermal", "--mu0",
      "nan", "--dmax", "1"],
+    # non-finite couplings or velocity: the symbol would carry inf/nan
+    ["kernel", "--kind", "lattice", "--t1", "inf", "--points", "3",
+     "--format", "json"],
+    ["kernel", "--kind", "massive-thermal", "--t1", "inf", "--beta0", "2"],
+    ["flow", "--filter", "haar", "--t1", "inf"],
+    ["spincorr", "--state", "lattice", "--t3", "inf"],
+    # a depth past the cap would sample about 2^m panels
+    ["spincorr", "--state", "renormalized", "--m", "17"],
     # sizes that would give an empty, reversed or degenerate table
     ["spincorr", "--state", "lattice", "--dmax", "0"],
     ["spincorr", "--state", "lattice", "--dmax", "-2"],

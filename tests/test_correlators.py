@@ -21,7 +21,7 @@ from isingrg.correlators import (
     transverse_field_expectation,
 )
 from isingrg.kernels import Couplings, SelfDualVector, SiteVector
-from isingrg.rgflow import _lag_octave, renormalized_two_point
+from isingrg.rgflow import MAX_DEPTH, _lag_matrix, _lag_octave, renormalized_two_point
 from isingrg.wavelet import make_daubechies_filter
 
 
@@ -109,21 +109,38 @@ def test_skew_matrix_validation():
 
 
 def test_state_validation(d8):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown state kind"):
         QuasiFreeState(kind="bogus")
-    with pytest.raises(ValueError):
-        QuasiFreeState(kind="lattice")  # needs couplings
-    with pytest.raises(ValueError):
-        QuasiFreeState(kind="critical_limit")  # needs a filter
+    with pytest.raises(ValueError, match="renormalized state needs couplings"):
+        QuasiFreeState(kind="renormalized")
+    with pytest.raises(ValueError, match="massive_thermal state needs a filter"):
+        QuasiFreeState(kind="massive_thermal")
+    with pytest.raises(ValueError, match="at m > 0 needs a filter"):
+        QuasiFreeState(kind="renormalized", couplings=Couplings.critical(), m=2)
     st = QuasiFreeState.massive_thermal(d8, 0.5, 2.0, t=0.7)
     assert (st.kind, st.mu0, st.beta0, st.t) == ("massive_thermal", 0.5, 2.0, 0.7)
-    # an inverted population (beta0 < 0), beta0 = 0 or a non-positive
-    # velocity t is not a state
+    # an inverted population (beta0 < 0), beta0 = 0 or a non-positive or
+    # non-finite velocity t is not a state
     for beta0, t in ((-2.0, 1.0), (0.0, 1.0), (math.nan, 1.0), (2.0, 0.0),
-                     (2.0, -1.0)):
-        with pytest.raises(ValueError):
+                     (2.0, -1.0), (2.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="must be positive"):
             QuasiFreeState.massive_thermal(d8, 1.0, beta0, t)
     assert QuasiFreeState.massive_thermal(d8, 1.0, math.inf).beta0 == math.inf
+
+
+def test_equal_states_share_one_normal_form(lattice_state, limit_state, d4, d8):
+    # the lattice state is the depth-0 renormalized state (W_0 = 1 reads no
+    # filter) and the critical limit is the mu0 = 0, beta0 = inf
+    # massive/thermal state (the kernel there reads no velocity t), so each
+    # pair is one state and one set of lag-table entries
+    pairs = [(limit_state, QuasiFreeState.massive_thermal(d8, 0.0, math.inf, t=2.0)),
+             (lattice_state, QuasiFreeState.renormalized(Couplings.critical(), d4, 0))]
+    for first, second in pairs:
+        assert first == second and hash(first) == hash(second)
+        _lag_matrix(first, 3)
+        misses = _lag_octave.cache_info().misses
+        _lag_matrix(second, 3)
+        assert _lag_octave.cache_info().misses == misses
 
 
 def test_massive_state_needs_finite_mass(d8):
@@ -139,6 +156,11 @@ def test_renormalized_depth_validation(d4):
         with pytest.raises(ValueError, match="m must be a non-negative integer"):
             QuasiFreeState.renormalized(c, d4, m)
     assert QuasiFreeState.renormalized(c, d4, 2.0).m == 2
+    # the lag table samples about 2^m panels, so the depth is capped
+    assert MAX_DEPTH == 16
+    assert QuasiFreeState.renormalized(c, d4, 16).m == 16
+    with pytest.raises(ValueError, match="m must be at most 16"):
+        QuasiFreeState.renormalized(c, d4, 17)
 
 
 def test_dual_route_pairings_agree(lattice_state, limit_state, d4, d8):

@@ -191,6 +191,12 @@ def test_bound_finite_at_scaled_horizon(d8):
 def test_pairing_side_validation(d8):
     with pytest.raises(ValueError):
         dynamical_pairing("bogus", 2, 0.0, 1.0, V_DIFF0, V_SUM1, d8)
+    # both sides take the symbol of a positive, finite velocity t: at t <= 0
+    # the limit symbol -i t k would name another state than the lattice side
+    for side in ("renormalized", "limit"):
+        for t in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="t must be positive"):
+                dynamical_pairing(side, 2, 0.5, t, V_DIFF0, V_SUM1, d8)
 
 
 def test_static_limit_pairing_cross_route(d8):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import expm
+
 from isingrg.kernels import (
     Couplings,
     SelfDualVector,
@@ -16,6 +18,7 @@ from isingrg.kernels import (
     covariance_massive_thermal,
     gibbs_covariance,
     one_particle_h,
+    propagator,
     z_theta,
 )
 
@@ -77,6 +80,13 @@ def test_couplings_validation():
         Couplings(1.0, -0.1)
     with pytest.raises(ValueError):
         Couplings(1.0, 1.0, beta=0.0)
+    # a non-finite coupling names no chain: its symbol would carry inf/nan
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t1 must be"):
+            Couplings(bad, 1.0)
+        with pytest.raises(ValueError, match="t3 must be"):
+            Couplings(1.0, bad)
+    assert Couplings(1.0, 1.0, beta=math.inf).beta == math.inf
 
 
 def test_flow_parameter_signs():
@@ -200,7 +210,8 @@ def test_massive_thermal_rejects_nonphysical_parameters():
     k = np.array([-1.0, 0.5])
     for mu0, beta0, t in ((1.0, -1.0, 1.0), (1.0, 0.0, 1.0),
                           (1.0, math.nan, 1.0), (1.0, 2.0, 0.0),
-                          (1.0, 2.0, -1.0), (math.nan, 2.0, 1.0),
+                          (1.0, 2.0, -1.0), (1.0, 2.0, math.inf),
+                          (0.0, math.inf, math.inf), (math.nan, 2.0, 1.0),
                           (math.inf, 2.0, 1.0)):
         with pytest.raises(ValueError):
             covariance_massive_thermal(k, mu0, beta0, t)
@@ -214,3 +225,48 @@ def test_massive_thermal_hermitian_spectrum():
     lam = np.linalg.eigvalsh(c)
     assert lam.min() > -1e-14
     assert lam.max() < 2 + 1e-14
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the energy symbol z against matrix functions of h(z)
+
+
+def _h(z):
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape + (2, 2), dtype=complex)
+    out[..., 0, 1] = -2j * np.conj(z)
+    out[..., 1, 0] = 2j * z
+    return out
+
+
+def test_propagator_matches_matrix_exponential():
+    k = np.linspace(-4.0, 4.0, 17)
+    symbols = [z_theta(Couplings(1.3, 0.6), THETA_GRID),
+               z_theta(Couplings.critical(0.8), THETA_GRID),
+               -1j * 1.7 * k,  # the critical scaling-limit symbol -i t k
+               np.array([0.0, 1e-13, 1e-13j, -1e-13 + 1e-13j])]
+    for z in symbols:
+        for tau in (0.0, 0.37, -1.5, 4.0):
+            closed = propagator(z, tau)
+            oracle = np.array([expm(1j * tau * h) for h in _h(z)])
+            np.testing.assert_allclose(closed, oracle, rtol=0, atol=1e-13)
+
+
+def _fermi_covariance(z, beta):
+    """``2*(exp(beta*h(z)) + 1)^(-1)`` eigenvalue by eigenvalue."""
+    lam, vec = np.linalg.eigh(_h(z))
+    if math.isinf(beta):
+        w = np.where(lam < 0, 2.0, np.where(lam > 0, 0.0, 1.0))
+    else:
+        w = 2.0 / (np.exp(beta * lam) + 1.0)
+    return np.einsum("...ij,...j,...kj->...ik", vec, w, np.conj(vec))
+
+
+@pytest.mark.parametrize("mu0", [0.0, 0.7, -0.4])
+@pytest.mark.parametrize("beta0", [0.3, 2.0, math.inf])
+@pytest.mark.parametrize("t", [0.5, 1.0, 1.7])
+def test_massive_thermal_matches_spectral_fermi_route(mu0, beta0, t):
+    k = np.linspace(-6.0, 6.0, 41)
+    closed = covariance_massive_thermal(k, mu0, beta0, t)
+    spectral = _fermi_covariance(t * (mu0 - 1j * k), beta0)
+    np.testing.assert_allclose(closed, spectral, rtol=0, atol=1e-12)

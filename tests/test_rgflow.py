@@ -207,6 +207,9 @@ def test_critical_flow_converges(d4):
 def test_isometry_defect_small(d8):
     for m in (2, 5):
         assert renormalization_isometry_defect(d8, DELTA0, m) < 1e-6
+    # the window holds about 2^m panels, so the depth shares the state cap
+    with pytest.raises(ValueError, match="m must be at most 16"):
+        renormalization_isometry_defect(d8, DELTA0, 17)
 
 
 # ---------------------------------------------------------------------------
