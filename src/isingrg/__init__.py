@@ -73,7 +73,7 @@ from .rgflow import (
     momentum_cutoff,
     renormalized_two_point,
 )
-from .wavelet import Filter, HighPassFilter, high_pass, m0, make_daubechies_filter, s_hat
+from .wavelet import Filter, high_pass, m0, make_daubechies_filter, s_hat
 
 __version__ = "0.1.0"
 
@@ -81,7 +81,6 @@ __all__ = [
     "__version__",
     # wavelet
     "Filter",
-    "HighPassFilter",
     "make_daubechies_filter",
     "high_pass",
     "m0",

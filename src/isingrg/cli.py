@@ -73,7 +73,7 @@ from .lattice_oracle import (
     partition_function_transfer,
 )
 from .rgflow import classify_flow, limit_two_point, renormalized_two_point
-from .wavelet import Filter, high_pass, m0, make_daubechies_filter
+from .wavelet import _HIGH_PASS_OFFSET, Filter, high_pass, m0, make_daubechies_filter
 
 _KINDS = ("a_adag", "adag_adag", "a_a", "adag_a")
 # separations up to this one also carry the Pfaffian-versus-Toeplitz delta
@@ -178,8 +178,8 @@ def cmd_filters(args: argparse.Namespace) -> Path:
     rows: List[Sequence] = []
     for n in range(0, 2 * filt.order + 2):
         hv = float(filt.taps[n]) if n < filt.taps.size else 0.0
-        off = n - g.support_offset
-        gv = float(g.taps[off]) if 0 <= off < g.taps.size else 0.0
+        off = n - _HIGH_PASS_OFFSET
+        gv = float(g[off]) if 0 <= off < g.size else 0.0
         rows.append((n, hv, gv))
     return _emit(args, f"filters_{filt.name}.{args.format}",
                  ("n", "h_n", "g_n"), rows)

@@ -15,25 +15,27 @@ smeared two-point functions approach the scaling-limit dynamics at rate
   at the lattice symbol ``z(2^-m k)`` or at its scaling limit ``-i t k``.
 
 All momentum integrals are evaluated on the fixed computational window
-``|k| <= 2^9 * pi`` shared with the scaling-limit states.  On that common
-window the Cauchy-Schwarz chain behind the assembled bound holds verbatim,
-so ``empirical <= certified`` is an exact windowed statement checked here,
-not an asymptotic claim.  Norm weights ``|s^(k)|^{2*gamma}`` with slowly
-decaying filters make some windowed norms cutoff-dominated; the bound then
-certifies loosely but remains a true upper bound on the window.
+``|k| <= 2^9 * pi`` at which the scaling-limit states are truncated.  On
+that common window the Cauchy-Schwarz chain behind the assembled bound
+holds verbatim, so ``empirical <= certified`` is an exact windowed
+statement, not an asymptotic claim.  The Sobolev norms read the one
+``|s^|`` sample per filter that :mod:`isingrg.rgflow` keeps on the window,
+the sample its momentum cutoff reads.  Norm weights ``|s^(k)|^{2*gamma}``
+with slowly decaying filters make some windowed norms cutoff-dominated;
+the bound then certifies loosely but remains a true upper bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, ClassVar, Sequence, Tuple
 
 import numpy as np
 
-from ._quadrature import octave_nodes, symmetric_nodes
+from ._quadrature import symmetric_nodes
 from .kernels import Couplings, SelfDualVector, covariance, propagator, z_theta
+from .rgflow import MOMENTUM_WINDOW, _window_abs_s_hat, _window_nodes, _window_octaves
 from .wavelet import Filter, s_hat
 
 __all__ = [
@@ -52,9 +54,6 @@ __all__ = [
     "bound_report",
     "bound_sweep",
 ]
-
-#: Fixed two-sided momentum window for every integral in this module.
-MOMENTUM_WINDOW = (2.0 ** 9) * math.pi
 
 _SQRT2 = math.sqrt(2.0)
 # sup_constants: the linear search runs to _SUP_K_MAX over _SUP_POINTS points
@@ -243,40 +242,8 @@ def sup_constants(t0_times_t: float = 0.25,
 # Sobolev-weighted norms
 
 
-@lru_cache(maxsize=256)
-def _weight_octave_ratio(filt: Filter, two_weight: float) -> float:
-    """Geometric-mean top-octave mass ratio of ``|s^|^{two_weight}``."""
-    masses = []
-    for j in range(9):
-        x, w = octave_nodes(j, 12)
-        masses.append(float(np.dot(w, np.abs(s_hat(filt, x)) ** two_weight)))
-    ratios = [masses[j + 1] / masses[j] for j in range(5, 8)]
-    return float(np.exp(np.mean(np.log(ratios))))
-
-
-def _check_admissible(filt: Filter, weight: float, order: int) -> None:
-    ratio = _weight_octave_ratio(filt, 2.0 * weight)
-    if ratio >= 0.95:
-        raise InadmissibleFilterError(
-            f"filter with {len(filt.taps)} taps is inadmissible at Sobolev "
-            f"order {order}: the weighted density |s^|^{2.0 * weight:g} has "
-            f"top-octave mass ratio {ratio:.3f} >= 0.95 (no spectral decay "
-            "across the momentum window)")
-
-
-@lru_cache(maxsize=4096)
-def _sobolev_cached(v: SelfDualVector, filt: Filter, weight: float,
-                    order: int, grid_scale: int) -> float:
-    k, wq = symmetric_nodes(MOMENTUM_WINDOW, math.pi / (64.0 * grid_scale),
-                            16, max_width=math.pi / (2.0 * grid_scale))
-    poly = (1.0 + k * k) ** order
-    density = np.abs(s_hat(filt, k)) ** (2.0 * weight)
-    amp = np.sum(np.abs(v.weight(k)) ** 2, axis=-1)
-    return float(math.sqrt(np.dot(wq, poly * density * amp)))
-
-
-def sobolev_norm(v: SelfDualVector, filt: Filter, weight: float, order: int,
-                 *, grid_scale: int = 1) -> float:
+def sobolev_norm(v: SelfDualVector, filt: Filter, weight: float,
+                 order: int) -> float:
     """Windowed Sobolev-weighted norm of a smearing vector.
 
     Parameters
@@ -292,8 +259,6 @@ def sobolev_norm(v: SelfDualVector, filt: Filter, weight: float, order: int,
     order : int
         Sobolev order in ``{1, 2, 3, 4}``; the polynomial weight is
         ``(1+k^2)^order``.
-    grid_scale : int
-        Panel-refinement multiplier (2 doubles the quadrature grid).
 
     Returns
     -------
@@ -312,8 +277,19 @@ def sobolev_norm(v: SelfDualVector, filt: Filter, weight: float, order: int,
         raise ValueError("order must be in {1, 2, 3, 4}")
     if not (0.0 < weight < 1.0):
         raise ValueError("weight exponent must lie in (0, 1)")
-    _check_admissible(filt, weight, order)
-    return _sobolev_cached(v, filt, float(weight), int(order), int(grid_scale))
+    k, wq = _window_nodes()
+    density = _window_abs_s_hat(filt) ** (2.0 * float(weight))
+    masses = _window_octaves(density)[6:]  # octaves 5..8 must decay
+    ratio = float(np.exp(np.mean(np.log(masses[1:] / masses[:-1]))))
+    if ratio >= 0.95:
+        raise InadmissibleFilterError(
+            f"filter with {len(filt.taps)} taps is inadmissible at Sobolev "
+            f"order {order}: the weighted density |s^|^{2.0 * weight:g} has "
+            f"top-octave mass ratio {ratio:.3f} >= 0.95 (no spectral decay "
+            "across the momentum window)")
+    poly = (1.0 + k * k) ** int(order)
+    amp = np.sum(np.abs(v.weight(k)) ** 2, axis=-1)
+    return float(math.sqrt(np.dot(wq, poly * density * amp)))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import det, expm, logm
 
 from ._accel import partition_brute
-from .wavelet import Filter, high_pass
+from .wavelet import _HIGH_PASS_OFFSET, Filter, high_pass
 
 __all__ = [
     "TorusSpec",
@@ -412,8 +412,8 @@ def disentangler_matrix(filt: Filter, n_sites: int) -> np.ndarray:
                         u[j, l] += h[n]
                 else:
                     n = j - l + 1 + r * n_sites
-                    if 0 <= n - g.support_offset < g.taps.size:
-                        u[j, l] += g.taps[n - g.support_offset]
+                    if 0 <= n - _HIGH_PASS_OFFSET < g.size:
+                        u[j, l] += g[n - _HIGH_PASS_OFFSET]
     defect = np.linalg.norm(u @ u.T - np.eye(n_sites))
     if defect > 1e-10:
         raise ArithmeticError(f"disentangler failed unitarity: {defect:.2e}")

@@ -31,6 +31,7 @@ disorder fixed point, negative to the order fixed point, zero is critical.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -38,7 +39,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ._quadrature import integrate, octave_nodes, symmetric_node_blocks
+from ._quadrature import integrate, symmetric_node_blocks, symmetric_nodes
 from .kernels import (
     Couplings,
     SelfDualVector,
@@ -70,6 +71,9 @@ __all__ = [
 ]
 
 _KINDS = ("a_adag", "adag_adag", "a_a", "adag_a")
+# QuasiFreeState fields each kind leaves unread (they must keep their defaults)
+_UNREAD = {"renormalized": ("mu0", "beta0", "t"),
+           "massive_thermal": ("couplings", "m")}
 
 #: Deepest renormalized state: its lag table samples about ``2^m`` panels
 #: (a few seconds at ``m = 16``), so deeper requests are refused up front.
@@ -87,16 +91,28 @@ _ORDER = 24
 _FINEST = np.pi / 64.0
 # nodes per block when a lag octave samples W C (bounds the sample's memory)
 _BLOCK = 1 << 15
-# momentum_cutoff: two-sided |s^|^2 tail target, cap 2^_CUTOFF_CAP pi, octaves
-# measured before extrapolating the tail, Gauss-Legendre order per octave
+#: Fixed two-sided momentum window ``|k| <= 2^9 pi``: the scaling-limit
+#: states are truncated inside it and every Sobolev norm integrates over it.
+MOMENTUM_WINDOW = (2.0 ** 9) * math.pi
+# momentum_cutoff: two-sided |s^|^2 tail target; largest autocorrelation
+# defect of taps treated as orthonormal
 _TAIL_TARGET = 1e-10
-_CUTOFF_CAP = 9
-_TAIL_OCTAVES = 12
-_TAIL_ORDER = 12
+_ORTHONORMAL_TOL = 1e-12
 # classify_flow: probed depths, half-width and points of the momentum window
 _CLASSIFY_DEPTHS = (4, 8, 12)
 _CLASSIFY_WINDOW = 0.125
 _CLASSIFY_POINTS = 65
+
+
+def _check_depth(m) -> int:
+    """The depth ``m`` as an int: a non-negative integer up to ``MAX_DEPTH``
+    (a depth-``m`` integral samples about ``2^m`` panels)."""
+    if not (isinstance(m, numbers.Real) and m >= 0 and float(m).is_integer()):
+        raise ValueError("m must be a non-negative integer")
+    if m > MAX_DEPTH:
+        raise ValueError(f"m must be at most {MAX_DEPTH} (a depth-m integral "
+                         "samples about 2^m panels)")
+    return int(m)
 
 
 def _osc_width(*vectors: SiteVector) -> float:
@@ -119,8 +135,10 @@ class QuasiFreeState:
     ``m <= MAX_DEPTH`` times; ``m = 0``, the lattice state, keeps no filter)
     and ``massive_thermal`` (wavelet-smeared scaling limit; its ``mu0 = 0,
     beta0 = inf`` member, where the unread ``t`` is set to 1, is the critical
-    limit).  States compare and hash by value, so equal states share
-    lag-table entries.
+    limit).  A field the kind never reads (``mu0``, ``beta0`` and ``t`` of a
+    renormalized state, ``couplings`` and ``m`` of a massive/thermal one)
+    must keep its default.  States compare and hash by value, so equal
+    states share lag-table entries.
     """
 
     kind: str
@@ -134,12 +152,11 @@ class QuasiFreeState:
     def __post_init__(self):
         if self.kind not in ("renormalized", "massive_thermal"):
             raise ValueError(f"unknown state kind {self.kind!r}")
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError("m must be a non-negative integer")
-        if self.m > MAX_DEPTH:
-            raise ValueError(f"m must be at most {MAX_DEPTH} (the lag table "
-                             "samples about 2^m panels)")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _check_depth(self.m))
+        for name in _UNREAD[self.kind]:
+            if getattr(self, name) != self.__dataclass_fields__[name].default:
+                raise ValueError(f"{self.kind} state does not read {name}; "
+                                 "leave it at its default")
         if self.kind == "renormalized":
             if self.couplings is None:
                 raise ValueError("renormalized state needs couplings")
@@ -288,16 +305,51 @@ def lattice_two_point(c: Couplings, v1: SiteVector, v2: SiteVector,
 
 
 # ---------------------------------------------------------------------------
-# momentum cutoff for scaling-limit integrals
+# the window sample of |s^| and the momentum cutoff
+
+
+@lru_cache(maxsize=1)
+def _window_nodes() -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on ``|k| <= MOMENTUM_WINDOW``.
+
+    Order 16 on panels refined dyadically down to ``pi/64`` and ``pi/2``
+    wide outward, so every ``2^j pi`` is a panel edge; the nodes increase
+    and are mirror-symmetric.  They do not depend on the filter.
+    """
+    k, w = symmetric_nodes(MOMENTUM_WINDOW, np.pi / 64.0, 16, max_width=np.pi / 2.0)
+    k.setflags(write=False)
+    w.setflags(write=False)
+    return k, w
+
+
+@lru_cache(maxsize=32)
+def _window_abs_s_hat(filt: Filter) -> np.ndarray:
+    """``|s^(k)|`` on :func:`_window_nodes`: one read-only sample per filter
+    value, read by every window integral that depends only on the filter."""
+    a = np.abs(s_hat(filt, _window_nodes()[0]))
+    a.setflags(write=False)
+    return a
+
+
+def _window_octaves(density: np.ndarray) -> np.ndarray:
+    """``Int density dk`` over ``[0, pi]`` and then over each octave
+    ``[2^j pi, 2^(j+1) pi]``, ``j = 0..8``, of the window sample."""
+    k, w = _window_nodes()
+    half = k.size // 2
+    edges = np.searchsorted(k[half:], np.pi * 2.0 ** np.arange(9))
+    return np.add.reduceat(w[half:] * density[half:], np.concatenate([[0], edges]))
 
 
 @dataclass(frozen=True)
 class TailReport:
     """Truncation domain for scaling-limit integrals.
 
-    ``cutoff`` is the smallest dyadic multiple of ``2*pi`` whose two-sided
-    spectral tail of ``|s^|^2`` falls below ``target`` — capped at ``2^9 pi``,
-    in which case ``met`` is False and ``tail`` reports what was achieved.
+    ``cutoff`` is the smallest ``2^j pi`` (``1 <= j <= 9``) whose two-sided
+    spectral tail ``1 - (1/2pi) Int_{|k| < cutoff} |s^|^2`` is at most
+    ``target``; otherwise it is the window ``2^9 pi``, ``met`` is False and
+    ``tail`` is the tail there (``inf`` for taps that are not orthonormal).
+    ``octave_masses[j]`` is ``(1/pi) Int |s^|^2`` over ``[2^j pi, 2^(j+1) pi]``
+    for ``j = 0..8``.
     """
 
     cutoff: float
@@ -311,32 +363,23 @@ class TailReport:
 def momentum_cutoff(filt: Filter) -> TailReport:
     """Choose the |k|-cutoff for limit-state quadrature from the |s^|^2 tail.
 
+    Orthonormal taps have ``sum_n |s^(k + 2 pi n)|^2 = 1``, so
+    ``(1/2pi) Int |s^|^2 = 1`` and the tail beyond a cutoff is one minus the
+    mass inside it, read off the window sample.  Taps whose even
+    autocorrelation differs from ``delta_{n0}`` by more than ``1e-12`` have
+    no such identity: their report keeps the window with ``tail = inf``.
     Cached per filter contents (equal filters share an entry).
     """
-    def density(k):
-        return np.abs(s_hat(filt, k)) ** 2 / np.pi  # two-sided mass density
-
-    masses = []
-    for j in range(_TAIL_OCTAVES):
-        x, w = octave_nodes(j, _TAIL_ORDER)
-        masses.append(float(np.dot(w, density(x))))
-    masses = np.array(masses)
-
-    r = masses[-1] / masses[-2] if masses[-2] > 0 else 0.0
-    remainder = masses[-1] * r / (1.0 - r) if 0.0 <= r < 0.9 else math.inf
-
-    best = None
-    for j in range(1, _CUTOFF_CAP + 1):
-        tail = float(masses[j:].sum() + remainder)
-        if tail <= _TAIL_TARGET:
-            best = ((2.0 ** j) * np.pi, tail, True)
-            break
-    if best is None:
-        tail_cap = float(masses[_CUTOFF_CAP:].sum() + remainder)
-        best = ((2.0 ** _CUTOFF_CAP) * np.pi, tail_cap, False)
-
-    return TailReport(cutoff=best[0], tail=best[1], target=_TAIL_TARGET,
-                      met=best[2], octave_masses=tuple(masses))
+    sums = _window_octaves(_window_abs_s_hat(filt) ** 2 / np.pi)
+    tails = 1.0 - np.cumsum(sums)  # tails[j]: the tail beyond 2^j pi
+    defect = np.correlate(filt.taps, filt.taps, "full")[filt.taps.size - 1::2]
+    defect[0] -= 1.0  # even autocorrelation minus delta_{n0}
+    if np.max(np.abs(defect)) > _ORTHONORMAL_TOL:
+        tails[:] = math.inf
+    j = next((j for j in range(1, 10) if tails[j] <= _TAIL_TARGET), 9)
+    return TailReport(cutoff=(2.0 ** j) * np.pi, tail=float(tails[j]),
+                      target=_TAIL_TARGET, met=bool(tails[j] <= _TAIL_TARGET),
+                      octave_masses=tuple(float(x) for x in sums[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +507,7 @@ def classify_flow(c: Couplings) -> FlowClassification:
 def renormalization_isometry_defect(filt: Filter, xi: SiteVector, m: int) -> float:
     """| ||R^m xi||^2 - ||xi||^2 | for the iterated coarse-graining isometry
     (``m <= MAX_DEPTH``: the window holds about ``2^m`` panels)."""
-    if m > MAX_DEPTH:
-        raise ValueError(f"m must be at most {MAX_DEPTH}")
+    m = _check_depth(m)
 
     def f(k):
         return np.abs(cascade_product(filt, k, m)) ** 2 * np.abs(xi.hat(k)) ** 2

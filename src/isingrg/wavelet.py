@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "Filter",
-    "HighPassFilter",
     "make_daubechies_filter",
     "high_pass",
     "m0",
@@ -33,6 +32,9 @@ __all__ = [
 ]
 
 _TRUNCATION_EPS = 1e-8  # remaining arguments 2^{-n} k below this are Taylor-padded
+#: First index of the high-pass support: ``high_pass(f)[i]`` is ``g_{2 + i}``
+#: for every filter order.
+_HIGH_PASS_OFFSET = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,22 +78,6 @@ class Filter:
 
     def __hash__(self):
         return hash((self.order, self.taps.tobytes()))
-
-
-@dataclass(frozen=True, eq=False)
-class HighPassFilter:
-    """Conjugate mirror filter ``g_n = (-1)^n h_{2p+1-n}``.
-
-    ``taps[i]`` is ``g_{support_offset + i}``; the support starts at
-    ``n = 2`` for every order.
-    """
-
-    name: str
-    taps: np.ndarray = field(repr=False)
-    support_offset: int = 2
-
-    def __len__(self):
-        return self.taps.size
 
 
 @lru_cache(maxsize=None)
@@ -159,13 +145,14 @@ def make_daubechies_filter(p: int) -> Filter:
     return Filter(name=f"db{p}", order=int(p), taps=np.array(_daubechies_taps(int(p))))
 
 
-def high_pass(filt: Filter) -> HighPassFilter:
-    """Conjugate mirror filter of ``filt``: ``g_n = (-1)^n h_{2p+1-n}``."""
+def high_pass(filt: Filter) -> np.ndarray:
+    """Read-only taps of the conjugate mirror filter ``g_n = (-1)^n h_{2p+1-n}``;
+    entry ``i`` is ``g_{_HIGH_PASS_OFFSET + i}``."""
     h = filt.taps
-    two_p = h.size
-    n = np.arange(2, two_p + 2)
-    g = ((-1.0) ** n) * h[two_p + 1 - n]
-    return HighPassFilter(name=filt.name, taps=g, support_offset=2)
+    n = np.arange(_HIGH_PASS_OFFSET, h.size + _HIGH_PASS_OFFSET)
+    g = ((-1.0) ** n) * h[h.size + 1 - n]
+    g.setflags(write=False)
+    return g
 
 
 def m0(filt: Filter, theta) -> np.ndarray:

@@ -108,7 +108,7 @@ def test_skew_matrix_validation():
 # state handles
 
 
-def test_state_validation(d8):
+def test_state_validation(d4, d8):
     with pytest.raises(ValueError, match="unknown state kind"):
         QuasiFreeState(kind="bogus")
     with pytest.raises(ValueError, match="renormalized state needs couplings"):
@@ -126,6 +126,16 @@ def test_state_validation(d8):
         with pytest.raises(ValueError, match="must be positive"):
             QuasiFreeState.massive_thermal(d8, 1.0, beta0, t)
     assert QuasiFreeState.massive_thermal(d8, 1.0, math.inf).beta0 == math.inf
+    # a field the kind never reads is refused, not silently kept apart from
+    # the canonical state
+    c = Couplings(1.0, 0.8)
+    for field, kw in (("m", dict(kind="massive_thermal", filt=d4, m=3)),
+                      ("couplings", dict(kind="massive_thermal", filt=d4, couplings=c)),
+                      ("mu0", dict(kind="renormalized", couplings=c, mu0=1.0)),
+                      ("beta0", dict(kind="renormalized", couplings=c, beta0=2.0)),
+                      ("t", dict(kind="renormalized", couplings=c, filt=d8, m=2, t=0.5))):
+        with pytest.raises(ValueError, match=f"does not read {field};"):
+            QuasiFreeState(**kw)
 
 
 def test_equal_states_share_one_normal_form(lattice_state, limit_state, d4, d8):

@@ -23,11 +23,12 @@ from isingrg.errorbounds import (
     empirical_error,
     sobolev_norm,
     sup_constants,
-    _sobolev_cached,
-    _weight_octave_ratio,
 )
+from isingrg import errorbounds, rgflow
+from isingrg._quadrature import symmetric_nodes
 from isingrg.kernels import SelfDualVector
-from isingrg.wavelet import make_daubechies_filter
+from isingrg.rgflow import _window_abs_s_hat, momentum_cutoff
+from isingrg.wavelet import make_daubechies_filter, s_hat
 
 
 V_DIFF0 = SelfDualVector.position_diff(0)
@@ -95,8 +96,12 @@ def test_sobolev_frozen_values(d8):
 
 
 def test_sobolev_grid_doubling_stable(d8):
+    # the same norm on doubled panels (finest pi/128, width pi/4, order 16)
     base = sobolev_norm(V_SUM0, d8, 0.5, 2)
-    fine = sobolev_norm(V_SUM0, d8, 0.5, 2, grid_scale=2)
+    k, w = symmetric_nodes(MOMENTUM_WINDOW, math.pi / 128.0, 16,
+                           max_width=math.pi / 4.0)
+    amp = np.sum(np.abs(V_SUM0.weight(k)) ** 2, axis=-1)
+    fine = math.sqrt(np.dot(w, (1.0 + k * k) ** 2 * np.abs(s_hat(d8, k)) * amp))
     assert abs(fine - base) / base < 1e-6
 
 
@@ -124,14 +129,34 @@ def test_sobolev_validation(d8):
 
 
 def test_equal_filters_share_sobolev_caches():
+    # the norms read one |s^| window sample per filter value
     first, second = make_daubechies_filter(3), make_daubechies_filter(3)
     assert first is not second and first == second
     sobolev_norm(V_SUM0, first, 0.55, 3)
-    hits = (_sobolev_cached.cache_info().hits,
-            _weight_octave_ratio.cache_info().hits)
-    sobolev_norm(V_SUM0, second, 0.55, 3)
-    assert _sobolev_cached.cache_info().hits == hits[0] + 1
-    assert _weight_octave_ratio.cache_info().hits == hits[1] + 1
+    misses = _window_abs_s_hat.cache_info().misses
+    assert sobolev_norm(V_SUM0, second, 0.55, 3) == sobolev_norm(V_SUM0, first, 0.55, 3)
+    assert _window_abs_s_hat.cache_info().misses == misses
+    assert _window_abs_s_hat(second) is _window_abs_s_hat(first)
+    assert _window_abs_s_hat.cache_info().maxsize is not None
+    assert not _window_abs_s_hat(first).flags.writeable
+
+
+def test_one_s_hat_sample_per_filter(d8, monkeypatch):
+    # the cutoff search, the admissibility check and all eight norms of a
+    # bound read one sample: fresh vectors and a fresh gamma add no s_hat call
+    calls = []
+
+    def counted(filt, k):
+        calls.append(filt)
+        return s_hat(filt, k)
+    monkeypatch.setattr(rgflow, "s_hat", counted)
+    monkeypatch.setattr(errorbounds, "s_hat", counted)
+    momentum_cutoff.cache_clear()
+    _window_abs_s_hat.cache_clear()
+    momentum_cutoff(d8)
+    certified_components(2, 0.3, 1.0, SelfDualVector.position_sum(3),
+                         SelfDualVector.position_diff(2), d8, 0.43)
+    assert calls == [d8]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from isingrg.rgflow import (
     renormalization_isometry_defect,
     renormalized_two_point,
 )
-from isingrg.wavelet import make_daubechies_filter
+from isingrg._quadrature import panel_nodes
+from isingrg.wavelet import Filter, make_daubechies_filter, s_hat
 
 DELTA0 = SiteVector.delta(0)
 DELTA1 = SiteVector.delta(1)
@@ -141,6 +142,34 @@ def test_cutoff_unmet_for_haar(haar):
     np.testing.assert_allclose(ratios[-4:], 0.5, atol=0.05)
 
 
+def _extrapolated_tail(filt, j):
+    """Reference tail beyond ``2^j pi``: octave masses of ``|s^|^2/pi`` out
+    to ``2^12 pi`` (order-12 panels about ``pi/2`` wide), the rest
+    extrapolated from the last two octaves as a geometric series."""
+    masses = []
+    for i in range(j, 12):
+        lo, hi = (2.0 ** i) * np.pi, (2.0 ** (i + 1)) * np.pi
+        x, w = panel_nodes(np.linspace(lo, hi, max(8, 2 ** (i + 1)) + 1), 12)
+        masses.append(float(np.dot(w, np.abs(s_hat(filt, x)) ** 2 / np.pi)))
+    r = masses[-1] / masses[-2]
+    return sum(masses) + masses[-1] * r / (1.0 - r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_cutoff_tail_matches_octave_extrapolation(p):
+    # the tail 1 - (inside mass) of the orthonormality identity agrees with
+    # summing the octaves beyond the cutoff
+    filt = make_daubechies_filter(p)
+    rep = momentum_cutoff(filt)
+    j = round(math.log2(rep.cutoff / np.pi))
+    assert rep.tail == pytest.approx(_extrapolated_tail(filt, j), rel=0.01)
+    assert len(rep.octave_masses) == 9
+    # scaled taps break sum_n |s^(k + 2 pi n)|^2 = 1, so no tail is claimed
+    rep = momentum_cutoff(Filter(name="scaled", order=p, taps=filt.taps * 1.01))
+    assert rep.met is False and rep.tail == math.inf
+    assert rep.cutoff == (2.0 ** 9) * math.pi
+
+
 def test_cutoff_cache_bounded_and_shared(d8):
     # equal filters share one bounded cache entry
     assert momentum_cutoff.cache_info().maxsize is not None
@@ -210,6 +239,16 @@ def test_isometry_defect_small(d8):
     # the window holds about 2^m panels, so the depth shares the state cap
     with pytest.raises(ValueError, match="m must be at most 16"):
         renormalization_isometry_defect(d8, DELTA0, 17)
+
+
+def test_one_depth_check(d4):
+    # the isometry defect and the state share one depth check
+    c = Couplings.critical()
+    for m in (-1, 2.5, math.nan):
+        with pytest.raises(ValueError, match="m must be a non-negative integer"):
+            renormalization_isometry_defect(d4, DELTA0, m)
+        with pytest.raises(ValueError, match="m must be a non-negative integer"):
+            QuasiFreeState.renormalized(c, d4, m)
 
 
 # ---------------------------------------------------------------------------
