@@ -1,10 +1,10 @@
 """Hot kernel: the exact torus partition sum.
 
 ``partition_brute`` has one route, an exact integer count of spin
-configurations by bond energy (pure numpy; no JIT needed).
-``_partition_brute_numpy`` enumerates every configuration and stays as the
-reference.  ``HAS_NUMBA`` only reports whether numba is installed; it
-selects nothing.
+configurations by bond energy (pure numpy; no JIT needed), and holds the
+package's one 24-spin guard.  The reference that enumerates every
+configuration lives in ``tests/test_partition_counts.py``.  ``HAS_NUMBA``
+only reports whether numba is installed; it selects nothing.
 """
 
 from __future__ import annotations
@@ -17,29 +17,6 @@ import numpy as np
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 _MAX_BRUTE_SPINS = 24
-
-
-def _partition_brute_numpy(k_horiz: float, k_vert: float, n_cols: int, n_rows: int) -> float:
-    """Sum exp(k_horiz*<within-row bonds> + k_vert*<between-row bonds>) over
-    all spin configurations of the periodic n_cols x n_rows torus.
-
-    Reference route: enumerates every configuration's bits and sums floats.
-    """
-    n = n_cols * n_rows
-    if n > _MAX_BRUTE_SPINS:
-        raise ValueError("brute-force partition limited to 24 spins")
-    configs = np.arange(1 << n, dtype=np.int64)
-    total = 0.0
-    # batch to bound memory: 2^20 configs x n bits of int8
-    step = 1 << 20
-    for lo in range(0, 1 << n, step):
-        c = configs[lo:lo + step]
-        bits = (c[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
-        s = (2 * bits - 1).astype(np.int8).reshape(-1, n_rows, n_cols)
-        vert = np.einsum("brc,brc->b", s, np.roll(s, -1, axis=1), dtype=np.float64)
-        horiz = np.einsum("brc,brc->b", s, np.roll(s, -1, axis=2), dtype=np.float64)
-        total += float(np.exp(k_horiz * horiz + k_vert * vert).sum())
-    return total
 
 
 @lru_cache(maxsize=64)  # the 24-spin guard leaves 44 shapes

@@ -26,6 +26,7 @@ it gives the spin basis vector with sign ``(-1)^{sum j_i}`` (0-based).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -74,7 +75,6 @@ _S2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _S3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SM = (_S3 + 1j * _S2) / 2.0  # fermion mode lowering in the sigma1 eigenbasis
 
-_MAX_BRUTE_SPINS = 24
 _MAX_DENSE_SITES = 12
 _MAX_GAMMA_SITES = 10
 
@@ -97,8 +97,14 @@ class TorusSpec:
     K2: float
 
     def __post_init__(self):
-        if self.M < 1 or self.N < 1:
-            raise ValueError("M and N must be >= 1")
+        for name in ("M", "N"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        for name in ("K1", "K2"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if self.K2 <= 0:
             raise ValueError("K2 must be positive (the row-to-row weight)")
 
@@ -149,16 +155,35 @@ def partition_function_brute(spec: TorusSpec) -> float:
     satisfied bonds in each direction (row by row along the narrower side,
     cached per shape); the Boltzmann weights enter only in the final sum.
     """
-    if spec.n_spins > _MAX_BRUTE_SPINS:
-        raise ValueError(f"brute force limited to {_MAX_BRUTE_SPINS} spins")
     return partition_brute(spec.K1, spec.K2, spec.n_cols, spec.n_rows)
+
+
+def _bond_sums(n_sites: int, periodic: bool) -> np.ndarray:
+    """``sum_j s_j s_(j+1)`` over the chain's bonds, per spin configuration
+    (length ``2^n_sites``); ``periodic`` adds the wrap-around bond."""
+    s = _spin_values(n_sites)
+    if periodic:
+        return np.einsum("cj,cj->c", s, np.roll(s, -1, axis=1))
+    return np.einsum("cj,cj->c", s[:, :-1], s[:, 1:])
+
+
+def _kron_power(a: np.ndarray, n: int) -> np.ndarray:
+    """``a (x) a (x) ... (x) a`` with ``n`` factors (a 1 for ``n = 0``)."""
+    out = np.ones((1,) * a.ndim, dtype=a.dtype)
+    for _ in range(n):
+        out = np.kron(out, a)
+    return out
+
+
+def _field_cell(K2: float) -> np.ndarray:
+    """Row-to-row weight of one column, ``[[e^K2, e^-K2], [e^-K2, e^K2]]``."""
+    return np.array([[math.exp(K2), math.exp(-K2)],
+                     [math.exp(-K2), math.exp(K2)]])
 
 
 def _bond_weight_vector(spec: TorusSpec) -> np.ndarray:
     """Diagonal of the within-row bond factor, as a length ``2^M`` vector."""
-    s = _spin_values(spec.n_cols)
-    energy = np.einsum("cj,cj->c", s, np.roll(s, -1, axis=1))
-    return np.exp(spec.K1 * energy)
+    return np.exp(spec.K1 * _bond_sums(spec.n_cols, periodic=True))
 
 
 def transfer_field_matrix(spec: TorusSpec) -> np.ndarray:
@@ -167,12 +192,7 @@ def transfer_field_matrix(spec: TorusSpec) -> np.ndarray:
     Equals ``(2 sinh 2 K2)^M exp(K2* sum_j sigma1_j)`` with
     ``tanh K2* = exp(-2 K2)``.
     """
-    cell = np.array([[math.exp(spec.K2), math.exp(-spec.K2)],
-                     [math.exp(-spec.K2), math.exp(spec.K2)]])
-    out = np.array([[1.0]])
-    for _ in range(spec.n_cols):
-        out = np.kron(out, cell)
-    return out
+    return _kron_power(_field_cell(spec.K2), spec.n_cols)
 
 
 def dual_coupling(K: float) -> float:
@@ -201,8 +221,7 @@ def partition_function_transfer(spec: TorusSpec) -> float:
     """
     if spec.n_rows == 2:
         bond = _bond_weight_vector(spec)
-        cell = np.array([[math.exp(spec.K2), math.exp(-spec.K2)],
-                         [math.exp(-spec.K2), math.exp(spec.K2)]]) ** 2
+        cell = _field_cell(spec.K2) ** 2
         vec = bond
         for _ in range(spec.n_cols):
             vec = (cell @ vec.reshape(2, -1)).T.ravel()
@@ -214,19 +233,20 @@ def partition_function_transfer(spec: TorusSpec) -> float:
 
 def partition_function_tensor(spec: TorusSpec) -> float:
     """Partition sum by contracting the vertex tensor around the torus."""
-    if spec.n_cols > spec.n_rows and spec.K1 > 0:
+    n_cols, n_rows, K1, K2 = spec.n_cols, spec.n_rows, spec.K1, spec.K2
+    if n_cols > n_rows:
         # contract along the shorter direction (the torus is transposition
         # symmetric with the couplings swapped); keeps intermediates small
-        spec = TorusSpec(spec.N, spec.M, spec.K2, spec.K1)
-    A = ising_tensor(spec.K1, spec.K2)
+        n_cols, n_rows, K1, K2 = n_rows, n_cols, K2, K1
+    A = ising_tensor(K1, K2)
     # chain the horizontal index: cur[mu_0, mu_j, S, S'] over j columns
     cur = A.copy()
-    for _ in range(spec.n_cols - 1):
+    for _ in range(n_cols - 1):
         cur = np.einsum("abst,bcuv->acsutv", cur, A)
         sh = cur.shape
         cur = cur.reshape(2, 2, sh[2] * sh[3], sh[4] * sh[5])
     row = np.einsum("aast->st", cur)
-    return float(np.trace(np.linalg.matrix_power(row, spec.n_rows)).real)
+    return float(np.trace(np.linalg.matrix_power(row, n_rows)).real)
 
 
 def correlation_brute(spec: TorusSpec, points: Sequence[Tuple[int, int]]) -> float:
@@ -264,6 +284,8 @@ def site_operator(op: np.ndarray, j: int, n_sites: int) -> np.ndarray:
     """``op`` acting on site ``j`` of a ``n_sites`` spin chain (dense)."""
     if n_sites > _MAX_DENSE_SITES:
         raise ValueError(f"dense chain operators limited to {_MAX_DENSE_SITES} sites")
+    if not 0 <= j < n_sites:
+        raise ValueError(f"site {j} outside the {n_sites}-site chain")
     out = np.array([[1.0 + 0j]]) if np.iscomplexobj(op) else np.array([[1.0]])
     for l in range(n_sites):
         out = np.kron(out, op if l == j else np.eye(2, dtype=out.dtype))
@@ -279,10 +301,7 @@ def tfim_hamiltonian(n_sites: int, t1: float, t3: float,
     """
     dim = 1 << n_sites
     H = np.zeros((dim, dim))
-    s3v = _spin_values(n_sites)
-    bonds = np.einsum("cj,cj->c", s3v, np.roll(s3v, -1, axis=1)) if periodic else \
-        np.einsum("cj,cj->c", s3v[:, :-1], s3v[:, 1:])
-    H -= t3 * np.diag(bonds)
+    H -= t3 * np.diag(_bond_sums(n_sites, periodic))
     for j in range(n_sites):
         H -= t1 * site_operator(_S1.real, j, n_sites)
     return H
@@ -315,14 +334,8 @@ def trotter_step(n_sites: int, tau: float, t1: float, t3: float,
     symmetrized row transfer matrix at couplings ``K1 = tau t3``,
     ``K2* = tau t1``.
     """
-    s3v = _spin_values(n_sites)
-    bonds = np.einsum("cj,cj->c", s3v, np.roll(s3v, -1, axis=1)) if periodic else \
-        np.einsum("cj,cj->c", s3v[:, :-1], s3v[:, 1:])
-    half = np.diag(np.exp(0.5 * tau * t3 * bonds))
-    cell = expm(tau * t1 * _S1.real)
-    field = np.array([[1.0]])
-    for _ in range(n_sites):
-        field = np.kron(field, cell)
+    half = np.diag(np.exp(0.5 * tau * t3 * _bond_sums(n_sites, periodic)))
+    field = _kron_power(expm(tau * t1 * _S1.real), n_sites)
     return half @ field @ half
 
 
@@ -330,6 +343,8 @@ def trotter_defect(n_sites: int, beta: float, n_steps: int, t1: float,
                    t3: float, periodic: bool = True) -> float:
     """Relative Frobenius error of the ``n_steps``-fold Trotter product
     against ``exp(-beta H)`` (periodic chain against periodic product)."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
     H = tfim_hamiltonian(n_sites, t1, t3, periodic=periodic)
     exact = expm(-beta * H)
     step = trotter_step(n_sites, beta / n_steps, t1, t3, periodic=periodic)
@@ -355,17 +370,21 @@ def jordan_wigner(n_sites: int) -> Tuple[sp.csr_matrix, ...]:
 
 
 @lru_cache(maxsize=8)
-def _jw_dense(n_sites: int) -> Tuple[np.ndarray, ...]:
-    return tuple(o.toarray() for o in jordan_wigner(n_sites))
+def _creators(n_sites: int) -> sp.csr_matrix:
+    """Sparse ``(4^n, n)`` stack: column ``j`` is ``a*_j`` flattened row-major."""
+    return sp.hstack([op.conj().T.reshape(-1, 1) for op in jordan_wigner(n_sites)],
+                     format="csr")
+
+
+def _creator(f: np.ndarray) -> np.ndarray:
+    """Dense ``a*(f) = sum_j f_j a*_j`` on the ``len(f)``-site chain."""
+    n = len(f)
+    return (_creators(n) @ np.asarray(f)).reshape(1 << n, 1 << n)
 
 
 def vacuum_state(n_sites: int) -> np.ndarray:
     """Mode vacuum: product of ``(1, -1)/sqrt(2)`` (lowest ``sigma1`` state)."""
-    minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-    out = np.array([1.0 + 0j])
-    for _ in range(n_sites):
-        out = np.kron(out, minus)
-    return out
+    return _kron_power(np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0), n_sites)
 
 
 def fock_state(n_sites: int, occupied: Sequence[int]) -> np.ndarray:
@@ -374,9 +393,11 @@ def fock_state(n_sites: int, occupied: Sequence[int]) -> np.ndarray:
     Equals ``(-1)^(sum j_i)`` times the product basis vector that is
     ``sigma1``-up exactly on ``occupied``.
     """
-    occ = sorted(set(int(j) for j in occupied))
+    occ = sorted(int(j) for j in occupied)
     if occ and not (0 <= occ[0] and occ[-1] < n_sites):
-        raise ValueError("occupied sites outside the chain")
+        raise ValueError(f"occupied sites {occ} outside the {n_sites}-site chain")
+    if len(set(occ)) < len(occ):
+        raise ValueError(f"occupied sites {occ} repeat a site: a*_j a*_j = 0")
     vec = vacuum_state(n_sites)
     ops = jordan_wigner(n_sites)
     for j in reversed(occ):  # rightmost operator acts first
@@ -402,18 +423,11 @@ def disentangler_matrix(filt: Filter, n_sites: int) -> np.ndarray:
         raise ValueError("filter longer than the chain: disentangler not unitary")
     g = high_pass(filt)
     u = np.zeros((n_sites, n_sites))
-    reps = max(1, (h.size // n_sites) + 2)
-    for l in range(n_sites):
-        for j in range(n_sites):
-            for r in range(-reps, reps + 1):
-                if l % 2 == 0:
-                    n = j - l + r * n_sites
-                    if 0 <= n < h.size:
-                        u[j, l] += h[n]
-                else:
-                    n = j - l + 1 + r * n_sites
-                    if 0 <= n - _HIGH_PASS_OFFSET < g.size:
-                        u[j, l] += g[n - _HIGH_PASS_OFFSET]
+    # tap n of the pair at l sits on site (l + n) mod n_sites; the filter
+    # fits the chain, so no two taps of a column share a site
+    for l in range(0, n_sites, 2):
+        u[(l + np.arange(h.size)) % n_sites, l] = h
+        u[(l + _HIGH_PASS_OFFSET + np.arange(g.size)) % n_sites, l + 1] = g
     defect = np.linalg.norm(u @ u.T - np.eye(n_sites))
     if defect > 1e-10:
         raise ArithmeticError(f"disentangler failed unitarity: {defect:.2e}")
@@ -468,13 +482,11 @@ def second_quantized_exponential(w: np.ndarray) -> np.ndarray:
     """Cross route: ``exp(dGamma(log w))`` with ``dGamma(B) = sum B_jk a*_j a_k``."""
     B = logm(w)
     n = w.shape[0]
-    ops = _jw_dense(n)
-    gen = np.zeros((1 << n, 1 << n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if abs(B[j, k]) > 1e-15:
-                gen += B[j, k] * (ops[j].conj().T @ ops[k])
-    return expm(gen)
+    ops = jordan_wigner(n)
+    gen = sum((B[j, k] * (ops[j].conj().T @ ops[k])
+               for j in range(n) for k in range(n) if abs(B[j, k]) > 1e-15),
+              sp.csr_matrix((1 << n, 1 << n), dtype=complex))
+    return expm(gen.toarray())
 
 
 def _ptr_suffix(rho: np.ndarray, keep: int, drop: int) -> np.ndarray:
@@ -520,17 +532,12 @@ class CoarseGrainChannel:
     def duality_defect(self, rho: np.ndarray, xi: np.ndarray,
                        eta: np.ndarray) -> float:
         """|tr(eps(rho) a*(xi) a(eta)) - tr(rho a*(u iota xi) a(u iota eta))|."""
-        ac = _jw_dense(self.n_coarse)
-        af = _jw_dense(self.n_fine)
-
-        def quad(ops, f, g):
-            cre = sum(f[i] * ops[i].conj().T for i in range(len(f)))
-            ann = sum(np.conj(g[i]) * ops[i] for i in range(len(g)))
-            return cre @ ann
+        def quad(f, g):
+            return _creator(f) @ _creator(g).conj().T
 
         fine_xi, fine_eta = self.embed(xi), self.embed(eta)
-        lhs = np.trace(self.apply(rho) @ quad(ac, xi, eta))
-        rhs = np.trace(rho @ quad(af, fine_xi, fine_eta))
+        lhs = np.trace(self.apply(rho) @ quad(xi, eta))
+        rhs = np.trace(rho @ quad(fine_xi, fine_eta))
         return abs(complex(lhs) - complex(rhs))
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from isingrg import lattice_oracle
 from isingrg.kernels import Couplings
 from isingrg.lattice_oracle import (
     CoarseGrainChannel,
@@ -26,6 +27,7 @@ from isingrg.lattice_oracle import (
     partition_function_transfer,
     second_quantized,
     second_quantized_exponential,
+    site_operator,
     symmetrized_transfer,
     tfim_hamiltonian,
     transfer_matrix,
@@ -64,11 +66,32 @@ def test_partition_frozen_fixtures(oracle_fixtures):
             row["Z"], rel=1e-13)
 
 
+def test_partition_tensor_transposes_for_any_k1(monkeypatch):
+    # a wide torus is contracted along its short side whatever the sign of
+    # K1: the vertex tensor is built with the couplings swapped
+    calls = []
+    real = lattice_oracle.ising_tensor
+    monkeypatch.setattr(lattice_oracle, "ising_tensor",
+                        lambda K1, K2: calls.append((K1, K2)) or real(K1, K2))
+    spec = TorusSpec(5, 1, -0.3, 0.5)
+    zx = partition_function_tensor(spec)
+    assert calls == [(0.5, -0.3)]
+    assert zx == pytest.approx(partition_function_brute(spec), rel=1e-12)
+
+
 def test_torus_spec_validation():
     with pytest.raises(ValueError):
         TorusSpec(0, 2, 0.1, 0.1)
     with pytest.raises(ValueError):
         TorusSpec(2, 2, 0.1, 0.0)
+    with pytest.raises(ValueError, match="M must be an integer"):
+        TorusSpec(1.5, 2, 0.3, 0.3)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        TorusSpec(2, 0, 0.3, 0.3)
+    with pytest.raises(ValueError, match="K1 must be finite"):
+        TorusSpec(2, 2, math.nan, 0.5)
+    with pytest.raises(ValueError, match="K2 must be finite"):
+        TorusSpec(2, 2, 0.5, math.inf)
 
 
 def test_dual_coupling_involution():
@@ -150,6 +173,25 @@ def test_fock_state_occupation_and_sign():
         assert expect == pytest.approx(1.0 if j in (1, 3) else 0.0, abs=1e-13)
     with pytest.raises(ValueError):
         fock_state(3, [5])
+    with pytest.raises(ValueError, match=r"occupied sites \[1, 1\] repeat a site"):
+        fock_state(3, [1, 1])
+
+
+def test_chain_input_validation():
+    for j in (5, -1):
+        with pytest.raises(ValueError, match=f"site {j} outside the 3-site chain"):
+            site_operator(np.eye(2), j, 3)
+    with pytest.raises(ValueError, match="n_steps must be >= 1, got 0"):
+        trotter_defect(3, 1.0, 0, 1.0, 1.0)
+
+
+def test_creator_is_sum_of_jordan_wigner_creators():
+    n = 4
+    rng = np.random.default_rng(2)
+    f = rng.normal(size=n) + 1j * rng.normal(size=n)
+    ops = jordan_wigner(n)
+    ref = sum(f[j] * ops[j].conj().T.toarray() for j in range(n))
+    np.testing.assert_array_equal(lattice_oracle._creator(f), ref)
 
 
 def test_ground_state_energy():
@@ -208,17 +250,18 @@ def test_disentangler_validation(d4):
 
 
 def test_second_quantization_routes_agree():
-    # det-minor route vs exp(dGamma(log w)) route on a random unitary
+    # det-minor route vs exp(dGamma(log w)) route on random unitaries
     rng = np.random.default_rng(7)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    w = np.linalg.qr(a)[0]
-    g1 = second_quantized(w)
-    g2 = second_quantized_exponential(w)
-    # match global phase before comparing
-    idx = np.argmax(np.abs(g1))
-    phase = g2.flat[idx] / g1.flat[idx]
-    np.testing.assert_allclose(g1 * phase, g2, atol=1e-12)
-    assert abs(abs(phase) - 1.0) < 1e-12
+    for n in (3, 6):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        w = np.linalg.qr(a)[0]
+        g1 = second_quantized(w)
+        g2 = second_quantized_exponential(w)
+        # match global phase before comparing
+        idx = np.argmax(np.abs(g1))
+        phase = g2.flat[idx] / g1.flat[idx]
+        np.testing.assert_allclose(g1 * phase, g2, atol=1e-12)
+        assert abs(abs(phase) - 1.0) < 1e-12
 
 
 def test_mode_sort_permutation():
@@ -244,15 +287,17 @@ def test_channel_trace_preserving(haar):
 def test_channel_duality(haar, d4):
     # tr(eps(rho) a*(xi) a(eta)) = tr(rho a*(U iota xi) a(U iota eta))
     rng = np.random.default_rng(11)
-    for filt in (haar, d4):
-        chan = coarse_grain_channel(filt, 4)
-        for _ in range(5):
-            a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-            rho = a @ a.conj().T
-            rho /= np.trace(rho)
-            xi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            eta = rng.normal(size=2) + 1j * rng.normal(size=2)
-            assert chan.duality_defect(rho, xi, eta) < 1e-11
+    for n_fine, reps in ((4, 5), (8, 2)):
+        dim, nc = 1 << n_fine, n_fine // 2
+        for filt in (haar, d4):
+            chan = coarse_grain_channel(filt, n_fine)
+            for _ in range(reps):
+                a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                rho = a @ a.conj().T
+                rho /= np.trace(rho)
+                xi = rng.normal(size=nc) + 1j * rng.normal(size=nc)
+                eta = rng.normal(size=nc) + 1j * rng.normal(size=nc)
+                assert chan.duality_defect(rho, xi, eta) < 1e-11
 
 
 def test_channel_embed_validation(haar):
