@@ -11,10 +11,18 @@ vectors is a finite sum over the state's 2x2 lag table
 with ``C = kernels.covariance(z, beta)`` at the state's energy symbol and
 the spectral weight ``W``.  The ``m``-times renormalized Gibbs state takes
 ``z(2^-m k)`` and ``W_m(k) = prod_{n=1..m} |m0(2^-n k)|^2`` on
-``|k| < 2^m pi``; ``m = 0`` (``W_0 = 1``) is the lattice state.  The
-massive/thermal scaling limit takes ``t(mu0 - i k)`` at ``beta0`` and
+``|k| < 2^m pi``; ``m = 0`` (``W_0 = 1``) is the lattice state.  One step
+maps the depth-``m`` table to
+
+    P_{m+1}(s) = sum_n a_n P_m(2s - n),    a_n = sum_i h_i h_{i+n},
+
+the filter's transition operator ``T`` (W. Lawton, J. Math. Phys. 32
+(1991) 57), so a renormalized table is ``T^m K`` with ``K`` the lattice
+table: a closed form at the critical ground state, otherwise an inverse FFT
+of the covariance symbol whose size is set by the symbol's analytic strip.
+The massive/thermal scaling limit takes ``t(mu0 - i k)`` at ``beta0`` and
 ``|s^(k)|^2`` up to :func:`momentum_cutoff`; ``mu0 = 0, beta0 = inf`` is
-the critical limit.
+the critical limit.  Its table is a Gauss-Legendre integral.
 A doubled-space vector with site weights ``w_j = (xi_j, eta_j)`` pairs as
 
     <Psi(v1) Psi(v2)> = sum_{j,l} conj(w1_j)^T P(j - l) conj(w2_l),
@@ -75,8 +83,10 @@ _KINDS = ("a_adag", "adag_adag", "a_a", "adag_a")
 _UNREAD = {"renormalized": ("mu0", "beta0", "t"),
            "massive_thermal": ("couplings", "m")}
 
-#: Deepest renormalized state: its lag table samples about ``2^m`` panels
-#: (a few seconds at ``m = 16``), so deeper requests are refused up front.
+#: Deepest renormalized state: its lag table over ``|s| <= S`` applies ``T``
+#: ``m`` times to the ``2^(m+1) (S + 2p - 1)`` lattice lags it reads (a cold
+#: d8 separation-16 correlation at ``m = 16``: 0.3 s, 24 MB traced peak), so
+#: deeper requests are refused up front.
 MAX_DEPTH = 16
 
 #: Fixed-point covariance kernels of the coupling flow (constant in momentum).
@@ -89,8 +99,16 @@ ORDER_KERNEL.setflags(write=False)
 # integral (the panels refine toward the kink at the origin down to _FINEST)
 _ORDER = 24
 _FINEST = np.pi / 64.0
-# nodes per block when a lag octave samples W C (bounds the sample's memory)
+# entries per block when a table samples W C or streams lattice lags into
+# the first T step (bounds the sample's memory)
 _BLOCK = 1 << 15
+# lattice lags: e-folds of the 1e-16 tail beyond which K is set to 0, and the
+# largest inverse FFT of the covariance symbol
+_K_TAIL = math.log(1e16)
+_MAX_FFT = 1 << 22
+# lattice lags per FFT window, sampled in quarters (bounds the memory of an
+# inverse FFT of any size to about 3 MB)
+_SUBGRID = 1 << 15
 #: Fixed two-sided momentum window ``|k| <= 2^9 pi``: the scaling-limit
 #: states are truncated inside it and every Sobolev norm integrates over it.
 MOMENTUM_WINDOW = (2.0 ** 9) * math.pi
@@ -106,12 +124,13 @@ _CLASSIFY_POINTS = 65
 
 def _check_depth(m) -> int:
     """The depth ``m`` as an int: a non-negative integer up to ``MAX_DEPTH``
-    (a depth-``m`` integral samples about ``2^m`` panels)."""
+    (a depth-``m`` table applies ``T`` ``m`` times to about ``2^m`` lattice
+    lags per lag)."""
     if not (isinstance(m, numbers.Real) and m >= 0 and float(m).is_integer()):
         raise ValueError("m must be a non-negative integer")
     if m > MAX_DEPTH:
-        raise ValueError(f"m must be at most {MAX_DEPTH} (a depth-m integral "
-                         "samples about 2^m panels)")
+        raise ValueError(f"m must be at most {MAX_DEPTH} (a depth-m table "
+                         "applies T m times to about 2^m lattice lags per lag)")
     return int(m)
 
 
@@ -206,25 +225,197 @@ def _octave(s: int) -> int:
     return max(0, abs(s) - 1).bit_length()
 
 
+# ---------------------------------------------------------------------------
+# renormalized tables: the transition operator applied to the lattice table
+#
+# The lattice table is [[d(n), i g(-n)], [-i g(n), d(n)]] with d = delta_{n0}
+# and the real sequence g(n) = (1/2pi) Int e^{i theta n} p(theta) d theta,
+# p = i C_10 = (z/|z|) tanh(beta |z|); T keeps that form, so a renormalized
+# table carries the two real sequences T^m d and T^m g.
+
+
+def _autocorrelation(filt: Filter) -> np.ndarray:
+    """``a_n = sum_i h_i h_{i+n}`` for ``|n| <= 2p - 1``, exactly symmetric."""
+    h = filt.taps
+    half = np.array([np.dot(h[:h.size - n], h[n:]) for n in range(h.size)])
+    return np.concatenate([half[:0:-1], half])
+
+
+def _transition(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One step of ``T``: ``y[i] = sum_j a[j] x[2i + j]``.
+
+    With ``x`` holding a sequence from lag ``2 s0 - q`` on (``a`` symmetric,
+    ``a.size = 2q + 1``), ``y`` holds ``(T x)(s) = sum_n a_n x(2s - n)`` from
+    ``s0`` on, for every ``s`` whose inputs lie in ``x``.  Each entry sums the
+    same terms in the same order whatever the array's extent.
+    """
+    n = (x.size - a.size) // 2 + 1
+    y = np.zeros(n)
+    tmp = np.empty(n)
+    for j, aj in enumerate(a):
+        y += np.multiply(x[j:j + 2 * n - 1:2], aj, out=tmp)
+    return y
+
+
+def _decay_rate(c: Couplings) -> float:
+    """Decay rate of the lattice lags, ``|g(n)| ~ exp(-rate |n|)``: the
+    half-width of the covariance symbol's analytic strip,
+    ``acosh((t1^2 + t3^2 + (pi/2 beta)^2) / (2 t1 t3))``.  At ``beta = inf``
+    it is ``|log(t3/t1)|`` (a branch point of ``z/|z|``); at finite ``beta``
+    the nearest singularity is the first pole of ``tanh(beta |z|)``."""
+    r = c.t3 / c.t1
+    if r == 0.0:  # z = t1: g is supported on n = 0
+        return math.inf
+    q = 0.0 if math.isinf(c.beta) else math.pi / (2.0 * c.beta * c.t1)
+    d = ((1.0 - r) ** 2 + q * q) / (2.0 * r)
+    return math.log1p(d + math.sqrt(d * (d + 2.0)))
+
+
+def _critical_lags(lo: int, hi: int) -> np.ndarray:
+    """``g(n) = 2 / (pi (2n + 1))`` of the critical ground state, ``lo <= n <= hi``."""
+    return 2.0 / (np.pi * (2.0 * np.arange(lo, hi + 1) + 1.0))
+
+
+def _symbol_p(c: Couplings, theta: np.ndarray) -> np.ndarray:
+    """``p = i C_10`` of the lattice covariance at ``theta``."""
+    return 1j * covariance_lattice(c, theta)[..., 1, 0]
+
+
+def _fft_grid(c: Couplings) -> Tuple[int, int, bool]:
+    """``(N, L, near_critical)`` of the lattice sequence's inverse FFT.
+
+    ``N`` comes from the decay rate alone, never from the lags requested:
+    the smallest power of two past twice the 1e-16 tail ``L``, at most
+    ``_MAX_FFT`` (then ``L = N/2 - 1``).  ``near_critical``: even that grid
+    leaves ``exp(-rate N)`` above 1e-16.
+    """
+    rate = _decay_rate(c)
+    tail = math.ceil(_K_TAIL / rate) if rate * _MAX_FFT > _K_TAIL else _MAX_FFT
+    n = min(_MAX_FFT, max(64, 1 << (2 * tail + 1).bit_length()))
+    return n, min(tail, n // 2 - 1), rate * n < _K_TAIL
+
+
+def _fft_window(c: Couplings, w: int) -> np.ndarray:
+    """``g(n)`` for ``n`` in window ``w``, ``|n - wM| <= M/2`` (``M`` =
+    ``min(N, _SUBGRID)`` lags, right end open), 0 beyond the tail ``L``.
+
+    The ``N``-point inverse DFT ``g(n) = (1/N) sum_j p(2 pi j/N) e^{2 pi i jn/N}``
+    is folded into ``F = N/M`` sub-grids ``j = F j1 + j2``: each is one
+    ``M``-point inverse FFT times ``e^{2 pi i j2 n/N}``, and sub-grids
+    ``j2`` and ``F - j2`` are complex conjugates (``p(-theta) =
+    conj p(theta)``), so ``F/2 + 1`` of them are transformed.  A window
+    holds ``O(M)`` memory whatever ``N`` is.  Near criticality ``p`` minus
+    the critical symbol is transformed and the closed form added back; the
+    ``theta = 0`` sample then carries its grid cell's average (of the real
+    part: the imaginary part is odd), since the remaining peak there is
+    narrower than a cell.
+    """
+    n, tail, near_critical = _fft_grid(c)
+    m = min(n, _SUBGRID)
+    f = n // m
+    lags = w * m + np.arange(-(m // 2), m - m // 2)
+    critical = Couplings.critical()
+    g = np.zeros(m)
+    p = np.empty(m, dtype=complex)
+    for j2 in range(f // 2 + 1):
+        for lo in range(0, m, _SUBGRID // 4):
+            theta = (2.0 * np.pi / n) * (f * np.arange(lo, min(lo + _SUBGRID // 4, m)) + j2)
+            p[lo:lo + theta.size] = _symbol_p(c, theta)
+            if near_critical:
+                p[lo:lo + theta.size] -= _symbol_p(critical, theta)
+        if near_critical and j2 == 0:
+            h = 2.0 * np.pi / n
+            p[0] = integrate(lambda x: (_symbol_p(c, x) - _symbol_p(critical, x)).real,
+                             h / 2.0, h * 2.0 ** -40, _ORDER) / h
+        term = np.fft.ifft(p)[lags % m]
+        term *= np.exp((2j * np.pi * j2 / n) * lags)
+        g += (1.0 if j2 in (0, f / 2) else 2.0) * term.real
+    g /= f
+    if near_critical:
+        g += _critical_lags(int(lags[0]), int(lags[-1]))
+    g[np.abs(lags) > tail] = 0.0
+    return g
+
+
+def _lattice_lags(c: Couplings):
+    """``lags(lo, hi)``: the lattice sequence ``g(n)`` for ``lo <= n <= hi``,
+    0 beyond its 1e-16 tail; a closed form at the critical ground state,
+    else assembled from FFT windows (each window built once per call)."""
+    if c.t1 == c.t3 and math.isinf(c.beta):
+        return _critical_lags
+    n, tail, _ = _fft_grid(c)
+    m = min(n, _SUBGRID)
+    window = lru_cache(maxsize=2)(lambda w: _fft_window(c, w))
+
+    def lags(lo: int, hi: int) -> np.ndarray:
+        out = np.zeros(hi - lo + 1)
+        lo_in, hi_in = max(lo, -tail), min(hi, tail)
+        if lo_in > hi_in:
+            return out
+        for w in range((lo_in + m // 2) // m, (hi_in + m // 2) // m + 1):
+            a, b = max(lo_in, w * m - m // 2), min(hi_in, w * m + m - m // 2 - 1)
+            out[a - lo:b - lo + 1] = window(w)[a - w * m + m // 2:b - w * m + m // 2 + 1]
+        return out
+
+    return lags
+
+
+def _renormalized_lags(state: QuasiFreeState, top: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(T^m d, T^m g)`` for ``|s| <= top``.
+
+    ``T^m g`` needs the lattice lags ``|n| <= 2^m (top + q) - q``,
+    ``q = 2p - 1``; they are generated block by block into the first step.
+    ``d = delta`` keeps its support in ``|n| <= q`` under ``T``.
+    """
+    lags = _lattice_lags(state.couplings)
+    d = np.zeros(2 * top + 1)
+    d[top] = 1.0
+    if state.m == 0:
+        return d, lags(-top, top)
+    a = _autocorrelation(state.filt)
+    q = a.size // 2
+    reach = (top + q) * 2 ** (state.m - 1) - q  # half-width after one step
+    g = np.empty(2 * reach + 1)
+    for lo in range(0, g.size, _BLOCK):
+        hi = min(lo + _BLOCK, g.size) - 1
+        g[lo:hi + 1] = _transition(a, lags(2 * (lo - reach) - q, 2 * (hi - reach) + q))
+    for _ in range(state.m - 1):
+        g = _transition(a, g)
+    diag = np.zeros(6 * q + 1)
+    diag[3 * q] = 1.0
+    for _ in range(state.m):
+        diag[2 * q:4 * q + 1] = _transition(a, diag)  # support stays in |n| <= q
+    w = min(top, q)
+    d[top - w:top + w + 1] = diag[3 * q - w:3 * q + w + 1]
+    return d, g
+
+
 @lru_cache(maxsize=256)
 def _lag_octave(state: QuasiFreeState, j: int) -> Mapping[int, np.ndarray]:
     """Every lag of octave ``j`` of the lag table: a read-only mapping of
     read-only 2x2 arrays, shared by every caller.
 
-    ``W C`` is sampled once, on the nodes whose panels resolve the octave's
-    largest lag, in blocks of at most ``_BLOCK`` nodes; each lag is summed
-    as rows ``exp(iks) @ sym`` block by block, so a value never depends on
-    which lags were asked for before.  Cached by state value and octave.
+    A renormalized state reads ``T^m`` of its lattice table over
+    ``|s| <= 2^j``.  A massive/thermal state samples ``W C`` once, on the
+    nodes whose panels resolve the octave's largest lag, in blocks of at
+    most ``_BLOCK`` nodes; each lag is summed as rows ``exp(iks) @ sym``
+    block by block.  Either way a value never depends on which lags were
+    asked for before.  Cached by state value and octave.
     """
     top = 1 << j
     lags = [s for s in range(-top, top + 1) if _octave(s) == j]
-    kernel, weight, kmax = _state_kernel_weight(state)
     table = np.zeros((len(lags), 4), dtype=complex)
-    for x, w in symmetric_node_blocks(kmax, _FINEST, _ORDER,
-                                      _osc_width(SiteVector.delta(top)), _BLOCK):
-        sym = (w * weight(x) / (2.0 * np.pi))[:, None] * kernel(x).reshape(-1, 4)
+    if state.kind == "renormalized":
+        d, g = _renormalized_lags(state, top)
         for r, s in enumerate(lags):
-            table[r] += np.exp(1j * s * x) @ sym
+            table[r] = d[top + s], 1j * g[top - s], -1j * g[top + s], d[top + s]
+    else:
+        kernel, weight, kmax = _state_kernel_weight(state)
+        for x, w in symmetric_node_blocks(kmax, _FINEST, _ORDER,
+                                          _osc_width(SiteVector.delta(top)), _BLOCK):
+            sym = (w * weight(x) / (2.0 * np.pi))[:, None] * kernel(x).reshape(-1, 4)
+            for r, s in enumerate(lags):
+                table[r] += np.exp(1j * s * x) @ sym
     table = table.reshape(-1, 2, 2)
     table.setflags(write=False)
     return MappingProxyType(dict(zip(lags, table)))
@@ -274,8 +465,9 @@ def renormalized_two_point(c: Couplings, filt: Filter, m: int, v1: SiteVector,
                            v2: SiteVector, kind: str = "a_adag") -> complex:
     """Two-point function of the ``m``-times renormalized Gibbs state.
 
-    Its lag table integrates over the momentum window ``[-2^m pi, 2^m pi]``
-    with the cascade weight ``W_m(k) = |prod_{n=1..m} m0(2^-n k)|^2``.
+    Its lag table, the integral over ``[-2^m pi, 2^m pi]`` with the cascade
+    weight ``W_m(k) = |prod_{n=1..m} m0(2^-n k)|^2``, is built as ``T^m K``
+    from the lattice table ``K``.
 
     Parameters
     ----------

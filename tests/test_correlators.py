@@ -4,6 +4,7 @@ anchors for the critical chain, and scaling-limit decay structure."""
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -216,18 +217,31 @@ def test_equal_states_share_lag_cache(d4):
     assert _lag_octave.cache_info().misses == misses
 
 
-def test_cold_lag_sample_memory_bounded(d4):
-    # W C is sampled in node blocks: a cold depth-12 table holds no array
-    # spanning the whole 2^12 pi window
-    st = QuasiFreeState.renormalized(Couplings.critical(), d4, 12)
+def _cold_peak(state, separation):
+    """Traced peak bytes of a cold Toeplitz correlation."""
     _lag_octave.cache_clear()
     tracemalloc.start()
     try:
-        toeplitz_correlation(st, 2)
-        peak = tracemalloc.get_traced_memory()[1]
+        toeplitz_correlation(state, separation)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+
+
+def test_cold_lag_sample_memory_bounded(d4):
+    # a cold depth-12 table is T^12 of the lattice lags |n| <= 2^12 (2 + 3),
+    # streamed block by block into the first step: no array spans the
+    # depth-0 reach
+    st = QuasiFreeState.renormalized(Couplings.critical(), d4, 12)
+    assert _cold_peak(st, 2) < 16e6
+
+
+def test_cold_lag_table_memory_at_max_depth(d8):
+    # at MAX_DEPTH the first T step's output holds about 2^16 (|s| + 7)
+    # entries; the lattice lags feeding it are streamed in blocks
+    st = QuasiFreeState.renormalized(Couplings.critical(), d8, MAX_DEPTH)
+    assert _cold_peak(st, 2) <= 32e6
+    assert _cold_peak(st, 16) <= 64e6
 
 
 _FACTORS = {"sum": SelfDualVector.position_sum,
@@ -253,13 +267,18 @@ def test_lag_table_matches_general_pairing(lattice_state, limit_state, d4, d8):
         assert abs(table - general) <= 1e-14, (st.kind, s, t1, t2)
 
 
-def test_lag_table_independent_of_request_order(d8):
-    st = QuasiFreeState.critical_limit(d8)
-    _lag_octave.cache_clear()
-    cold = toeplitz_correlation(st, 3)
-    _lag_octave.cache_clear()
-    toeplitz_correlation(st, 12)
-    assert toeplitz_correlation(st, 3) == cold
+def test_lag_table_independent_of_request_order(d4, d8):
+    # the quadrature of a limit state, the FFT lattice lags of a thermal
+    # renormalized state (its size set by the decay rate alone) and a 1e-16
+    # tail of ~3.7e4 lattice lags near criticality
+    for st in (QuasiFreeState.critical_limit(d8),
+               QuasiFreeState.renormalized(Couplings(1.0, 0.7, 0.6), d4, 5),
+               QuasiFreeState.renormalized(Couplings(1.0, 1.0 - 1e-3), d8, 3)):
+        _lag_octave.cache_clear()
+        cold = toeplitz_correlation(st, 3)
+        _lag_octave.cache_clear()
+        toeplitz_correlation(st, 12)
+        assert toeplitz_correlation(st, 3) == cold, st
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +313,18 @@ def test_lattice_sigma_closed_forms(lattice_state):
         pytest.approx(2.0 / math.pi, abs=1e-12)
     assert complex(spin_spin_correlation(lattice_state, [0, 2])) == \
         pytest.approx(16.0 / (3.0 * math.pi ** 2), abs=1e-12)
+
+
+def test_lattice_correlator_product_formula(lattice_state):
+    # the critical chain's <s3_0 s3_d> is the diagonal correlation of the
+    # isotropic 2D Ising model at T_c (McCoy and Wu, ch. XI):
+    # (2/pi)^d prod_{k=1}^{d-1} (1 - 1/(4k^2))^(k-d)
+    with mp.workdps(40):
+        for d in range(1, 33):
+            exact = (2 / mp.pi) ** d * mp.fprod(
+                (1 - mp.mpf(1) / (4 * k * k)) ** (k - d) for k in range(1, d))
+            val = complex(toeplitz_correlation(lattice_state, d))
+            assert abs(val - complex(exact)) <= 1e-14, d
 
 
 def test_spin_product_parity_and_contraction(lattice_state):

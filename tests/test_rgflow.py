@@ -2,10 +2,12 @@
 classification, and calibrated massive/thermal convergence."""
 
 import math
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from isingrg.correlators import self_dual_two_point
 from isingrg.kernels import Couplings, SelfDualVector, SiteVector
@@ -13,6 +15,8 @@ from isingrg.rgflow import (
     DISORDER_KERNEL,
     ORDER_KERNEL,
     QuasiFreeState,
+    _lag_matrix,
+    _lattice_lags,
     calibrated_couplings,
     classify_flow,
     lattice_two_point,
@@ -116,6 +120,70 @@ def test_two_point_kinds_match_general_pairing(d4, d8):
             oracle = self_dual_two_point(state, _FIELDS[op1](v1), _FIELDS[op2](v2))
             assert abs(two_point(v1, v2, kind) - oracle) <= 1e-13, \
                 (state.kind, state.m, kind)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_transition_tables_match_quadrature_oracle(p):
+    # T^m K against the direct quadrature of the doubled-space pairing over
+    # the 2^m pi window, which shares no code with T
+    filt = make_daubechies_filter(p)
+    rng = np.random.default_rng(5)
+    v1 = SiteVector(tuple(rng.normal(size=2) + 1j * rng.normal(size=2)), -1)
+    v2 = SiteVector(tuple(rng.normal(size=2) + 1j * rng.normal(size=2)), 0)
+    for c in (Couplings.critical(), Couplings(1.0, 0.7, 0.6), Couplings(1.0, 1.3, 8.0)):
+        for m in (0, 3, 8, 12):
+            state = QuasiFreeState.renormalized(c, filt, m)
+            for kind in ("a_adag", "adag_adag", "a_a", "adag_a"):
+                op1, op2 = kind.split("_")
+                oracle = self_dual_two_point(state, _FIELDS[op1](v1), _FIELDS[op2](v2))
+                value = renormalized_two_point(c, filt, m, v1, v2, kind)
+                assert abs(value - oracle) <= 1e-12, (c, m, kind)
+
+
+def test_lattice_lags_independent_of_block_boundaries():
+    # the first T step reads the lattice lags in blocks: a block starting
+    # inside the tail's FFT window but past the tail, or spanning several
+    # 2^15-lag windows, reads the same values as one request
+    for c, cuts in ((Couplings(1.0, 0.7, 0.6), (-16, 0, 15, 16, 20)),
+                    (Couplings(1.0, 1.0 - 1e-3), (-40000, -16385, -16384, 0, 36850))):
+        lags = _lattice_lags(c)
+        whole = lags(-50000, 50000)
+        assert np.count_nonzero(whole[:100]) == 0  # beyond the 1e-16 tail
+        bounds = [-50000, *cuts, 50001]
+        parts = [lags(a, b - 1) for a, b in zip(bounds[:-1], bounds[1:])]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _ground_lag_reference(t1, t3, n):
+    """``g(n) = (1/pi) Int_0^pi [cos(n th) Re p - sin(n th) Im p] d th`` of the
+    ground state, ``p = z/|z|``, by ``scipy.integrate.quad`` with breakpoints
+    at ``eps 2^k`` (``eps = |t1 - t3|``) and the cancellation-free forms
+    ``|z|^2 = eps^2 + 4 t1 t3 sin^2(th/2)``, ``Re z = (t1 - t3) + 2 t3 sin^2(th/2)``."""
+    eps = abs(t1 - t3)
+
+    def f(th):
+        s2 = math.sin(th / 2.0) ** 2
+        absz = math.sqrt(eps * eps + 4.0 * t1 * t3 * s2)
+        re, im = ((t1 - t3) + 2.0 * t3 * s2) / absz, -t3 * math.sin(th) / absz
+        return math.cos(n * th) * re - math.sin(n * th) * im
+
+    points = [eps * 2.0 ** k for k in range(-4, 64) if eps * 2.0 ** k < math.pi]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        val = quad(f, 0.0, math.pi, points=points, limit=5000, epsabs=1e-17,
+                   epsrel=1e-14)[0]
+    return val / math.pi
+
+
+@pytest.mark.parametrize("gap, tol", [(1e-3, 1e-12), (1e-5, 1e-12), (1e-7, 5.6e-8)])
+def test_near_critical_lattice_lags(gap, tol):
+    # the m = 0 off-diagonal table of ground states near criticality: the
+    # lattice lag P_10(n) = -i g(n).  At 1 - 1e-7 the peak of width 1e-7 at
+    # theta = 0 is narrower than a cell of the capped FFT grid.
+    state = QuasiFreeState.lattice(Couplings(1.0, 1.0 - gap))
+    for n in (0, 1, 3):
+        value = 1j * _lag_matrix(state, n)[1, 0]
+        assert abs(value - _ground_lag_reference(1.0, 1.0 - gap, n)) <= tol, n
 
 
 # ---------------------------------------------------------------------------
