@@ -22,10 +22,14 @@ Subpackage map
     disentangler circuits, coarse-graining channels (desk-scale sizes).
 ``cli``
     Deterministic batch command-line surface over all of the above.
+
+Each public name is exported by one submodule and is a production route or
+an oracle that a test compares against: ``self_dual_two_point(_expanded)``,
+``pfaffian_matchings``, ``gibbs_covariance``, ``second_quantized_exponential``,
+``transfer_matrix`` and ``finite_flow``.
 """
 
 from .correlators import (
-    QuasiFreeState,
     SkewMatrix,
     ToeplitzSymbol,
     pfaffian,
@@ -34,12 +38,10 @@ from .correlators import (
     spin_spin_correlation,
     toeplitz_correlation,
     toeplitz_symbol,
-    transverse_field_expectation,
 )
 from .errorbounds import (
     BoundReport,
     InadmissibleFilterError,
-    MOMENTUM_WINDOW,
     OscillationResolutionError,
     SupConstantsReport,
     bound_report,
@@ -63,11 +65,12 @@ from .kernels import (
 )
 from .rgflow import (
     DISORDER_KERNEL,
+    MOMENTUM_WINDOW,
     ORDER_KERNEL,
     FlowClassification,
+    QuasiFreeState,
     calibrated_couplings,
     classify_flow,
-    lattice_two_point,
     limit_two_point,
     massive_thermal_two_point,
     momentum_cutoff,
@@ -96,8 +99,8 @@ __all__ = [
     "covariance_critical_limit",
     "covariance_massive_thermal",
     # rgflow
+    "QuasiFreeState",
     "renormalized_two_point",
-    "lattice_two_point",
     "limit_two_point",
     "massive_thermal_two_point",
     "momentum_cutoff",
@@ -106,8 +109,8 @@ __all__ = [
     "FlowClassification",
     "DISORDER_KERNEL",
     "ORDER_KERNEL",
+    "MOMENTUM_WINDOW",
     # correlators
-    "QuasiFreeState",
     "SkewMatrix",
     "ToeplitzSymbol",
     "pfaffian",
@@ -116,9 +119,7 @@ __all__ = [
     "spin_spin_correlation",
     "toeplitz_symbol",
     "toeplitz_correlation",
-    "transverse_field_expectation",
     # errorbounds
-    "MOMENTUM_WINDOW",
     "InadmissibleFilterError",
     "OscillationResolutionError",
     "SupConstantsReport",

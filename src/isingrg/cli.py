@@ -50,7 +50,6 @@ import numpy as np
 from . import __version__
 from .errorbounds import bound_sweep, sup_constants
 from .correlators import (
-    QuasiFreeState,
     pfaffian,
     pfaffian_matchings,
     spin_spin_correlation,
@@ -72,10 +71,10 @@ from .lattice_oracle import (
     partition_function_tensor,
     partition_function_transfer,
 )
-from .rgflow import classify_flow, limit_two_point, renormalized_two_point
+from .rgflow import (_KINDS, QuasiFreeState, classify_flow, limit_two_point,
+                     renormalized_two_point)
 from .wavelet import _HIGH_PASS_OFFSET, Filter, high_pass, m0, make_daubechies_filter
 
-_KINDS = ("a_adag", "adag_adag", "a_a", "adag_a")
 # separations up to this one also carry the Pfaffian-versus-Toeplitz delta
 _PF_CHECK_MAX = 10
 

@@ -25,7 +25,8 @@ with phase ``-i``.  The direct quadrature of general doubled-space vectors,
 
 is the lag table's oracle; the four-term expansion into the scalar
 two-point functions of :mod:`isingrg.rgflow`, which read the lag table,
-cross-checks it.
+cross-checks it.  The perfect-matching recursion is the oracle of the
+pivoted Pfaffian.  Everything else here is a production route.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from functools import partial
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from ._quadrature import integrate
 from .kernels import SelfDualVector, SiteVector
@@ -49,7 +51,6 @@ from .rgflow import (
 )
 
 __all__ = [
-    "QuasiFreeState",
     "SkewMatrix",
     "ToeplitzSymbol",
     "self_dual_two_point",
@@ -59,7 +60,6 @@ __all__ = [
     "spin_spin_correlation",
     "toeplitz_symbol",
     "toeplitz_correlation",
-    "transverse_field_expectation",
 ]
 
 _MAX_STRING = 64
@@ -249,12 +249,11 @@ class ToeplitzSymbol:
     lags: Dict[int, complex] = field(repr=False)
 
     def matrix(self) -> np.ndarray:
+        """The ``d x d`` Toeplitz matrix with entry ``(r, c) = C3(c - r - 1)``."""
         d = self.separation
-        out = np.empty((d, d), dtype=complex)
-        for r in range(d):
-            for c in range(d):
-                out[r, c] = self.lags[c - r - 1]
-        return out
+        column = np.array([self.lags[-r - 1] for r in range(d)], dtype=complex)
+        row = np.array([self.lags[c - 1] for c in range(d)], dtype=complex)
+        return toeplitz(column, row)
 
 
 def toeplitz_symbol(state: QuasiFreeState, separation: int) -> ToeplitzSymbol:
@@ -273,9 +272,3 @@ def toeplitz_correlation(state: QuasiFreeState, separation: int) -> complex:
     sym = toeplitz_symbol(state, separation)
     return complex(np.linalg.det(sym.matrix()))
 
-
-def transverse_field_expectation(state: QuasiFreeState) -> float:
-    """``<s1_j> = <(a_j + a*_j)(a_j - a*_j)>`` (``2/pi`` on the critical
-    chain), the (sum, diff) entry of the lag table at lag 0; the same at
-    every site ``j``, since every state is translation invariant."""
-    return float(np.real(_tagged_two_point(state, "sum", 0, "diff", 0)))

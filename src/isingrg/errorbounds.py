@@ -39,7 +39,6 @@ from .rgflow import MOMENTUM_WINDOW, _window_abs_s_hat, _window_nodes, _window_o
 from .wavelet import Filter, s_hat
 
 __all__ = [
-    "MOMENTUM_WINDOW",
     "InadmissibleFilterError",
     "OscillationResolutionError",
     "SupConstantsReport",

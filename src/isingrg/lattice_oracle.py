@@ -49,7 +49,6 @@ __all__ = [
     "transfer_field_matrix",
     "transfer_matrix",
     "symmetrized_transfer",
-    "dual_coupling",
     "correlation_brute",
     "tfim_hamiltonian",
     "gibbs_state",
@@ -115,10 +114,6 @@ class TorusSpec:
     @property
     def n_rows(self) -> int:
         return 2 * self.N
-
-    @property
-    def n_spins(self) -> int:
-        return self.n_cols * self.n_rows
 
 
 def _spin_values(n_sites: int) -> np.ndarray:
@@ -193,11 +188,6 @@ def transfer_field_matrix(spec: TorusSpec) -> np.ndarray:
     ``tanh K2* = exp(-2 K2)``.
     """
     return _kron_power(_field_cell(spec.K2), spec.n_cols)
-
-
-def dual_coupling(K: float) -> float:
-    """Dual transverse coupling ``K*`` with ``tanh K* = exp(-2K)``."""
-    return math.atanh(math.exp(-2.0 * K))
 
 
 def transfer_matrix(spec: TorusSpec) -> np.ndarray:

@@ -28,7 +28,9 @@ A doubled-space vector with site weights ``w_j = (xi_j, eta_j)`` pairs as
     <Psi(v1) Psi(v2)> = sum_{j,l} conj(w1_j)^T P(j - l) conj(w2_l),
 
 and the scalar kinds take ``a(v) = Psi(from_annihilator(v))`` and
-``a*(v) = Psi(from_creator(conj v))``.  As ``m`` grows, ``W_m`` converges to
+``a*(v) = Psi(from_creator(conj v))``; ``<s1_j> = 2 Re<a*_j a_j> - 1``, and
+``<a(v) a*(v)> + <a*(v) a(v)> = ||v||^2`` is the isometry ``||R^m v|| =
+||v||`` of the coarse-graining.  As ``m`` grows, ``W_m`` converges to
 ``|s^(k)|^2`` and the kernel to its scaling limit; the error decays like
 ``2^-m``.
 
@@ -68,14 +70,10 @@ __all__ = [
     "FlowClassification",
     "momentum_cutoff",
     "renormalized_two_point",
-    "lattice_two_point",
     "limit_two_point",
     "massive_thermal_two_point",
-    "majorana_two_point",
-    "majorana_two_point_integral",
     "calibrated_couplings",
     "classify_flow",
-    "renormalization_isometry_defect",
 ]
 
 _KINDS = ("a_adag", "adag_adag", "a_a", "adag_a")
@@ -295,9 +293,11 @@ def _fft_grid(c: Couplings) -> Tuple[int, int, bool]:
     return n, min(tail, n // 2 - 1), rate * n < _K_TAIL
 
 
+@lru_cache(maxsize=8)
 def _fft_window(c: Couplings, w: int) -> np.ndarray:
     """``g(n)`` for ``n`` in window ``w``, ``|n - wM| <= M/2`` (``M`` =
-    ``min(N, _SUBGRID)`` lags, right end open), 0 beyond the tail ``L``.
+    ``min(N, _SUBGRID)`` lags, right end open), 0 beyond the tail ``L``;
+    read-only, cached by couplings and window (8 windows, at most 2 MB).
 
     The ``N``-point inverse DFT ``g(n) = (1/N) sum_j p(2 pi j/N) e^{2 pi i jn/N}``
     is folded into ``F = N/M`` sub-grids ``j = F j1 + j2``: each is one
@@ -334,18 +334,18 @@ def _fft_window(c: Couplings, w: int) -> np.ndarray:
     if near_critical:
         g += _critical_lags(int(lags[0]), int(lags[-1]))
     g[np.abs(lags) > tail] = 0.0
+    g.setflags(write=False)
     return g
 
 
 def _lattice_lags(c: Couplings):
     """``lags(lo, hi)``: the lattice sequence ``g(n)`` for ``lo <= n <= hi``,
     0 beyond its 1e-16 tail; a closed form at the critical ground state,
-    else assembled from FFT windows (each window built once per call)."""
+    else assembled from the cached FFT windows."""
     if c.t1 == c.t3 and math.isinf(c.beta):
         return _critical_lags
     n, tail, _ = _fft_grid(c)
     m = min(n, _SUBGRID)
-    window = lru_cache(maxsize=2)(lambda w: _fft_window(c, w))
 
     def lags(lo: int, hi: int) -> np.ndarray:
         out = np.zeros(hi - lo + 1)
@@ -353,8 +353,9 @@ def _lattice_lags(c: Couplings):
         if lo_in > hi_in:
             return out
         for w in range((lo_in + m // 2) // m, (hi_in + m // 2) // m + 1):
-            a, b = max(lo_in, w * m - m // 2), min(hi_in, w * m + m - m // 2 - 1)
-            out[a - lo:b - lo + 1] = window(w)[a - w * m + m // 2:b - w * m + m // 2 + 1]
+            start = w * m - m // 2  # the window's first lag
+            a, b = max(lo_in, start), min(hi_in, start + m - 1)
+            out[a - lo:b - lo + 1] = _fft_window(c, w)[a - start:b - start + 1]
         return out
 
     return lags
@@ -490,12 +491,6 @@ def renormalized_two_point(c: Couplings, filt: Filter, m: int, v1: SiteVector,
     return _two_point(QuasiFreeState.renormalized(c, filt, m), v1, v2, kind)
 
 
-def lattice_two_point(c: Couplings, v1: SiteVector, v2: SiteVector,
-                      kind: str = "a_adag") -> complex:
-    """Bare (un-renormalized) Gibbs two-point function; equals ``m = 0``."""
-    return _two_point(QuasiFreeState.lattice(c), v1, v2, kind)
-
-
 # ---------------------------------------------------------------------------
 # the window sample of |s^| and the momentum cutoff
 
@@ -595,43 +590,6 @@ def massive_thermal_two_point(filt: Filter, v1: SiteVector, v2: SiteVector,
                      v1, v2, kind)
 
 
-def majorana_two_point_integral(filt: Filter, v1: SiteVector, v2: SiteVector,
-                                chirality: Tuple[int, int] = (1, 1)) -> complex:
-    """Chiral-combination two-point function by explicit four-term expansion.
-
-    The chiral fields are ``psi_s(xi) = e^{i s pi/4} a(xi) +
-    e^{-i s pi/4} a*(conj(xi))`` with ``s = +-1``.  This route always
-    integrates; :func:`majorana_two_point` short-circuits the mixed case.
-    """
-    s1, s2 = chirality
-    if s1 not in (-1, 1) or s2 not in (-1, 1):
-        raise ValueError("chirality components must be +-1")
-    q = np.pi / 4.0
-    return complex(
-        np.exp(1j * (s1 + s2) * q) * limit_two_point(filt, v1, v2, "a_a")
-        + np.exp(1j * (s1 - s2) * q) * limit_two_point(filt, v1, v2.conj(), "a_adag")
-        + np.exp(1j * (s2 - s1) * q) * limit_two_point(filt, v1.conj(), v2, "adag_a")
-        + np.exp(-1j * (s1 + s2) * q) * limit_two_point(filt, v1.conj(), v2.conj(), "adag_adag")
-    )
-
-
-def majorana_two_point(filt: Filter, v1: SiteVector, v2: SiteVector,
-                       chirality: Tuple[int, int] = (1, 1)) -> complex:
-    """Two-point function of chiral field combinations in the critical limit.
-
-    Mixed chirality vanishes identically (the cross terms cancel against the
-    orthonormality of the scaling-function translates), so ``(+1, -1)`` and
-    ``(-1, +1)`` return exactly 0; the integral route is available
-    separately as :func:`majorana_two_point_integral`.
-    """
-    s1, s2 = chirality
-    if s1 not in (-1, 1) or s2 not in (-1, 1):
-        raise ValueError("chirality components must be +-1")
-    if s1 != s2:
-        return 0.0 + 0.0j
-    return majorana_two_point_integral(filt, v1, v2, chirality)
-
-
 # ---------------------------------------------------------------------------
 # coupling-flow classification and calibrated massive flow
 
@@ -694,17 +652,3 @@ def classify_flow(c: Couplings) -> FlowClassification:
         flowed = covariance_lattice(c, (2.0 ** -m) * k)
         distances[m] = float(np.abs(flowed - target).max())
     return FlowClassification(label=label, distances=distances, window=window)
-
-
-def renormalization_isometry_defect(filt: Filter, xi: SiteVector, m: int) -> float:
-    """| ||R^m xi||^2 - ||xi||^2 | for the iterated coarse-graining isometry
-    (``m <= MAX_DEPTH``: the window holds about ``2^m`` panels)."""
-    m = _check_depth(m)
-
-    def f(k):
-        return np.abs(cascade_product(filt, k, m)) ** 2 * np.abs(xi.hat(k)) ** 2
-
-    val = integrate(f, (2.0 ** m) * np.pi, _FINEST, _ORDER,
-                    max_width=_osc_width(xi)) / (2.0 * np.pi)
-    return abs(float(val) - xi.norm_sq())
-

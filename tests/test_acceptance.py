@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from isingrg.correlators import (
-    QuasiFreeState,
     pfaffian,
     pfaffian_matchings,
     spin_spin_correlation,
@@ -39,6 +38,7 @@ from isingrg.lattice_oracle import (
     trotter_defect,
 )
 from isingrg.rgflow import (
+    QuasiFreeState,
     calibrated_couplings,
     classify_flow,
     limit_two_point,

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from isingrg.correlators import (
-    QuasiFreeState,
     SkewMatrix,
     _tagged_two_point,
     pfaffian,
@@ -19,10 +18,16 @@ from isingrg.correlators import (
     spin_spin_correlation,
     toeplitz_correlation,
     toeplitz_symbol,
-    transverse_field_expectation,
 )
 from isingrg.kernels import Couplings, SelfDualVector, SiteVector
-from isingrg.rgflow import MAX_DEPTH, _lag_matrix, _lag_octave, renormalized_two_point
+from isingrg.rgflow import (
+    MAX_DEPTH,
+    QuasiFreeState,
+    _lag_matrix,
+    _lag_octave,
+    _two_point,
+    renormalized_two_point,
+)
 from isingrg.wavelet import make_daubechies_filter
 
 
@@ -57,6 +62,7 @@ def _random_skew(rng, n):
 
 
 def test_pfaffian_matches_matching_recursion():
+    # oracle: pfaffian_matchings, the exponential perfect-matching recursion
     rng = np.random.default_rng(7)
     for _ in range(100):
         n = int(rng.integers(1, 5)) * 2  # 2, 4, 6, 8
@@ -175,7 +181,8 @@ def test_renormalized_depth_validation(d4):
 
 
 def test_dual_route_pairings_agree(lattice_state, limit_state, d4, d8):
-    # covariance-kernel route vs the four-term scalar expansion
+    # covariance-kernel quadrature vs the oracle self_dual_two_point_expanded,
+    # the four-term expansion into scalar two-point functions
     pairs = [(SelfDualVector.position_diff(1), SelfDualVector.position_sum(0)),
              (SelfDualVector.position_diff(0), SelfDualVector.position_diff(2))]
     states = [lattice_state,
@@ -249,8 +256,9 @@ _FACTORS = {"sum": SelfDualVector.position_sum,
 
 
 def test_lag_table_matches_general_pairing(lattice_state, limit_state, d4, d8):
-    # every string-factor pair read off the lag table equals the general
-    # doubled-space pairing of the two position vectors
+    # every string-factor pair read off the lag table equals the oracle
+    # self_dual_two_point, the general doubled-space pairing of the two
+    # position vectors
     pairs = [(t1, t2) for t1 in _FACTORS for t2 in _FACTORS]
     lags = range(-12, 13)
     cheap = [lattice_state,
@@ -294,11 +302,13 @@ def test_lattice_symbol_closed_form(lattice_state):
 
 
 def test_toeplitz_matrix_layout(lattice_state):
-    sym = toeplitz_symbol(lattice_state, 3)
-    mat = sym.matrix()
-    for r in range(3):
-        for c in range(3):
-            assert mat[r, c] == sym.lags[c - r - 1]
+    for d in (1, 2, 3, 7, 12):
+        sym = toeplitz_symbol(lattice_state, d)
+        mat = sym.matrix()
+        assert mat.shape == (d, d)
+        for r in range(d):
+            for c in range(d):
+                assert mat[r, c] == sym.lags[c - r - 1]
     with pytest.raises(ValueError):
         toeplitz_symbol(lattice_state, 0)
 
@@ -345,14 +355,19 @@ def test_four_point_factorization_limit(lattice_state):
     assert abs(four) < abs(two)
 
 
+def _transverse_field(state):
+    """``<s1_j> = 2 Re<a*_j a_j> - 1``, the same at every site ``j``."""
+    delta = SiteVector.delta(0)
+    return 2.0 * _two_point(state, delta, delta, "adag_a").real - 1.0
+
+
 def test_transverse_field_expectation_values(lattice_state, limit_state, d8):
-    assert transverse_field_expectation(lattice_state) == \
-        pytest.approx(2.0 / math.pi, abs=1e-10)
+    assert _transverse_field(lattice_state) == pytest.approx(2.0 / math.pi, abs=1e-10)
     # smeared limit state has half-filled modes: expectation 0
-    assert transverse_field_expectation(limit_state) == pytest.approx(0.0, abs=1e-8)
+    assert _transverse_field(limit_state) == pytest.approx(0.0, abs=1e-8)
     # deep in the disordered regime the transverse field saturates
     deep = QuasiFreeState.massive_thermal(d8, 50.0, float("inf"))
-    assert transverse_field_expectation(deep) == pytest.approx(1.0, abs=1e-2)
+    assert _transverse_field(deep) == pytest.approx(1.0, abs=1e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 
 from isingrg import cli
 from isingrg.errorbounds import (
-    MOMENTUM_WINDOW,
     BoundReport,
     InadmissibleFilterError,
     OscillationResolutionError,
@@ -27,7 +26,7 @@ from isingrg.errorbounds import (
 from isingrg import errorbounds, rgflow
 from isingrg._quadrature import symmetric_nodes
 from isingrg.kernels import SelfDualVector
-from isingrg.rgflow import _window_abs_s_hat, momentum_cutoff
+from isingrg.rgflow import MOMENTUM_WINDOW, QuasiFreeState, _window_abs_s_hat, momentum_cutoff
 from isingrg.wavelet import make_daubechies_filter, s_hat
 
 
@@ -225,8 +224,9 @@ def test_pairing_side_validation(d8):
 
 
 def test_static_limit_pairing_cross_route(d8):
-    # t0 = 0 pairing against the correlator module's independent quadrature
-    from isingrg.correlators import QuasiFreeState, self_dual_two_point
+    # t0 = 0 pairing against the oracle correlators.self_dual_two_point,
+    # the correlator module's independent quadrature
+    from isingrg.correlators import self_dual_two_point
     dyn = dynamical_pairing("limit", 0, 0.0, 1.0, V_DIFF0, V_SUM1, d8)
     stat = self_dual_two_point(QuasiFreeState.critical_limit(d8),
                                V_DIFF0, V_SUM1)
@@ -235,7 +235,8 @@ def test_static_limit_pairing_cross_route(d8):
 
 
 def test_static_renormalized_pairing_cross_route(d8):
-    from isingrg.correlators import QuasiFreeState, self_dual_two_point
+    # oracle: correlators.self_dual_two_point, as above
+    from isingrg.correlators import self_dual_two_point
     from isingrg.kernels import Couplings
     dyn = dynamical_pairing("renormalized", 8, 0.0, 1.0, V_DIFF0, V_SUM1, d8)
     st = QuasiFreeState.renormalized(Couplings.critical(), d8, 8)

@@ -122,6 +122,7 @@ def test_one_particle_h_spectrum():
     Couplings(2.0, 2.0, beta=5.0),
 ])
 def test_covariance_dual_route(coup):
+    # oracle: gibbs_covariance, the spectral Gibbs covariance of one_particle_h
     closed = covariance_lattice(coup, THETA_GRID)
     spectral = gibbs_covariance(coup, THETA_GRID)
     np.testing.assert_allclose(closed, spectral, rtol=0, atol=1e-12)

@@ -14,7 +14,6 @@ from isingrg.lattice_oracle import (
     coarse_grain_channel,
     correlation_brute,
     disentangler_matrix,
-    dual_coupling,
     finite_flow,
     fock_state,
     gibbs_state,
@@ -30,6 +29,7 @@ from isingrg.lattice_oracle import (
     site_operator,
     symmetrized_transfer,
     tfim_hamiltonian,
+    transfer_field_matrix,
     transfer_matrix,
     trotter_defect,
     vacuum_state,
@@ -94,11 +94,18 @@ def test_torus_spec_validation():
         TorusSpec(2, 2, 0.5, math.inf)
 
 
-def test_dual_coupling_involution():
-    for k in (0.1, 0.4407, 1.3):
-        assert dual_coupling(dual_coupling(k)) == pytest.approx(k, rel=1e-12)
-    k_self = 0.5 * math.log(1 + math.sqrt(2.0))
-    assert dual_coupling(k_self) == pytest.approx(k_self, rel=1e-12)
+@pytest.mark.parametrize("M, K2", [(1, 0.1), (2, 0.4407), (2, 1.3)])
+def test_transfer_field_matrix_dual_form(M, K2):
+    # the row-to-row factor is (2 sinh 2 K2)^M (x)_j exp(K2* sigma1_j) over
+    # the 2M columns, with the dual coupling tanh K2* = exp(-2 K2)
+    dual = math.atanh(math.exp(-2.0 * K2))
+    cell = np.array([[math.cosh(dual), math.sinh(dual)],
+                     [math.sinh(dual), math.cosh(dual)]])  # exp(K2* sigma1)
+    want = np.array([[(2.0 * math.sinh(2.0 * K2)) ** M]])
+    for _ in range(2 * M):
+        want = np.kron(want, cell)
+    got = transfer_field_matrix(TorusSpec(M, 1, 0.3, K2))
+    assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
 
 
 def test_ising_tensor_symmetry():
@@ -108,6 +115,7 @@ def test_ising_tensor_symmetry():
 
 
 def test_transfer_symmetrized_same_trace():
+    # oracle: transfer_matrix, the unsymmetrized V = V_bond V_field
     spec = TorusSpec(2, 2, 0.4407, 0.4407)
     v = transfer_matrix(spec)
     vs = symmetrized_transfer(spec)
@@ -250,7 +258,8 @@ def test_disentangler_validation(d4):
 
 
 def test_second_quantization_routes_agree():
-    # det-minor route vs exp(dGamma(log w)) route on random unitaries
+    # det-minor route vs the oracle second_quantized_exponential, the
+    # exp(dGamma(log w)) route, on random unitaries
     rng = np.random.default_rng(7)
     for n in (3, 6):
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -336,6 +345,8 @@ def test_finite_flow_channel_unital_and_state_valid(haar):
 
 
 def test_finite_flow_occupation_dual_route(haar, d4):
+    # oracle: finite_flow, the dense chain's Gibbs state and its images under
+    # the coarse-graining channel.
     # Coarse-chain occupation computed two independent ways: (i) apply the
     # channel to the state and contract with a coarse-mode number operator,
     # (ii) pull the mode back through the one-particle embedding and

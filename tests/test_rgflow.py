@@ -9,23 +9,21 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from isingrg.correlators import self_dual_two_point
+from isingrg.correlators import self_dual_two_point, toeplitz_correlation
 from isingrg.kernels import Couplings, SelfDualVector, SiteVector
 from isingrg.rgflow import (
     DISORDER_KERNEL,
     ORDER_KERNEL,
     QuasiFreeState,
+    _fft_window,
     _lag_matrix,
+    _lag_octave,
     _lattice_lags,
     calibrated_couplings,
     classify_flow,
-    lattice_two_point,
     limit_two_point,
-    majorana_two_point,
-    majorana_two_point_integral,
     massive_thermal_two_point,
     momentum_cutoff,
-    renormalization_isometry_defect,
     renormalized_two_point,
 )
 from isingrg._quadrature import panel_nodes
@@ -62,21 +60,29 @@ def test_bare_pairing_closed_form(d8):
     assert complex(aa) == pytest.approx(complex(np.conj(flip)), abs=1e-12)
 
 
-def test_car_norm_identity(d8):
+def test_car_norm_identity(haar, d4, d8):
     # <a(v) a*(v)> + <a*(v) a(v)> = ||v||^2 for every state along the flow.
+    # On the m-times renormalized state this is the isometry of the iterated
+    # coarse-graining, ||R^m v||^2 = ||v||^2.
     c = Couplings(1.0, 0.7, beta=2.0)
-    for m in (0, 3):
-        s = (renormalized_two_point(c, d8, m, DELTA0, DELTA0, "a_adag")
-             + renormalized_two_point(c, d8, m, DELTA0, DELTA0, "adag_a"))
-        assert complex(s) == pytest.approx(1.0, abs=1e-9)
+    rng = np.random.default_rng(3)
+    xi = SiteVector(tuple(rng.normal(size=4) + 1j * rng.normal(size=4)), -1)
+    for filt in (haar, d4, d8):
+        for m in (0, 3, 8, 16):
+            for v in (DELTA0, xi):
+                s = (renormalized_two_point(c, filt, m, v, v, "a_adag")
+                     + renormalized_two_point(c, filt, m, v, v, "adag_a"))
+                assert complex(s) == pytest.approx(v.norm_sq(), abs=1e-9), \
+                    (filt.order, m)
 
 
 def test_lattice_equals_depth_zero(d4):
+    # the depth-0 state keeps no filter: it is the lattice state, and the
+    # two share one lag-table cache entry
     c = Couplings(1.0, 0.4, beta=1.1)
-    for kind in ("a_adag", "adag_adag", "adag_a"):
-        bare = lattice_two_point(c, DELTA0, DELTA1, kind)
-        via_flow = renormalized_two_point(c, d4, 0, DELTA0, DELTA1, kind)
-        assert complex(bare) == pytest.approx(complex(via_flow), abs=1e-12)
+    depth0 = QuasiFreeState.renormalized(c, d4, 0)
+    assert depth0 == QuasiFreeState.lattice(c)
+    assert hash(depth0) == hash(QuasiFreeState.lattice(c))
 
 
 def test_input_validation(d4):
@@ -101,16 +107,16 @@ _FIELDS = {"a": SelfDualVector.from_annihilator,
 
 
 def test_two_point_kinds_match_general_pairing(d4, d8):
-    # flow-workload-like vectors inside sites [-2, 2] against the direct
-    # quadrature of the doubled-space pairing, a(v) = Psi(from_annihilator(v))
-    # and a*(v) = Psi(from_creator(conj v))
+    # flow-workload-like vectors inside sites [-2, 2] against the oracle
+    # correlators.self_dual_two_point, the direct quadrature of the
+    # doubled-space pairing, a(v) = Psi(from_annihilator(v)) and
+    # a*(v) = Psi(from_creator(conj v))
     rng = np.random.default_rng(11)
     v1 = SiteVector(tuple(rng.normal(size=2) + 1j * rng.normal(size=2)), -2)
     v2 = SiteVector(tuple(rng.normal(size=3) + 1j * rng.normal(size=3)), -1)
     c = Couplings(1.0, 0.8, beta=3.0)
-    cases = [(QuasiFreeState.lattice(c), partial(lattice_two_point, c))]
-    cases += [(QuasiFreeState.renormalized(c, d4, m),
-               partial(renormalized_two_point, c, d4, m)) for m in (0, 3, 12)]
+    cases = [(QuasiFreeState.renormalized(c, d4, m),
+              partial(renormalized_two_point, c, d4, m)) for m in (0, 3, 12)]
     cases += [(QuasiFreeState.critical_limit(d8), partial(limit_two_point, d8)),
               (QuasiFreeState.massive_thermal(d8, 0.5, 2.0),
                partial(massive_thermal_two_point, d8, mu0=0.5, beta0=2.0))]
@@ -124,8 +130,9 @@ def test_two_point_kinds_match_general_pairing(d4, d8):
 
 @pytest.mark.parametrize("p", [1, 2, 4])
 def test_transition_tables_match_quadrature_oracle(p):
-    # T^m K against the direct quadrature of the doubled-space pairing over
-    # the 2^m pi window, which shares no code with T
+    # T^m K against the oracle correlators.self_dual_two_point, the direct
+    # quadrature of the doubled-space pairing over the 2^m pi window, which
+    # shares no code with T
     filt = make_daubechies_filter(p)
     rng = np.random.default_rng(5)
     v1 = SiteVector(tuple(rng.normal(size=2) + 1j * rng.normal(size=2)), -1)
@@ -152,6 +159,22 @@ def test_lattice_lags_independent_of_block_boundaries():
         bounds = [-50000, *cuts, 50001]
         parts = [lags(a, b - 1) for a, b in zip(bounds[:-1], bounds[1:])]
         assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_fft_windows_built_once_per_state():
+    # a near-critical state caps its FFT at 2^22 points; every octave and
+    # depth of it reads the same cached read-only windows of 2^15 lags.  A
+    # d4 (q = 3) separation-2 table at depth m reads |n| <= 2^m (2 + q) - q.
+    c = Couplings(1.0, 1.0 - 1e-7)
+    d4, half = make_daubechies_filter(2), (1 << 15) // 2
+    for m in (8, 12):
+        _lag_octave.cache_clear()
+        _fft_window.cache_clear()
+        toeplitz_correlation(QuasiFreeState.renormalized(c, d4, m), 2)
+        reach = 2 ** m * (2 + 3) - 3
+        assert _fft_window.cache_info().misses == 2 * ((reach + half) // (2 * half)) + 1
+    assert _fft_window.cache_info().maxsize == 8
+    assert not _fft_window(c, 0).flags.writeable
 
 
 def _ground_lag_reference(t1, t3, n):
@@ -269,21 +292,24 @@ def test_massive_reduces_to_critical(d8):
     assert complex(massless) == pytest.approx(complex(lim), abs=1e-12)
 
 
+def _chiral_two_point(filt, v1, v2, s1, s2):
+    """``<psi_s1(v1) psi_s2(v2)>`` of the chiral fields ``psi_s(xi) =
+    e^{i s pi/4} a(xi) + e^{-i s pi/4} a*(conj xi)`` in the critical limit,
+    expanded into its four scalar two-point functions."""
+    q = np.pi / 4.0
+    return (np.exp(1j * (s1 + s2) * q) * limit_two_point(filt, v1, v2, "a_a")
+            + np.exp(1j * (s1 - s2) * q) * limit_two_point(filt, v1, v2.conj(), "a_adag")
+            + np.exp(1j * (s2 - s1) * q) * limit_two_point(filt, v1.conj(), v2, "adag_a")
+            + np.exp(-1j * (s1 + s2) * q)
+            * limit_two_point(filt, v1.conj(), v2.conj(), "adag_adag"))
+
+
 def test_majorana_mixed_chirality_vanishes(d8):
+    # the cross terms of opposite chiralities cancel against the
+    # orthonormality of the scaling-function translates
     v = SiteVector.delta(2)
-    assert majorana_two_point(d8, DELTA0, v, (1, -1)) == 0.0 + 0.0j
-    assert majorana_two_point(d8, DELTA0, v, (-1, 1)) == 0.0 + 0.0j
-    # The integral route reproduces the cancellation numerically.
-    val = majorana_two_point_integral(d8, DELTA0, v, (1, -1))
-    assert abs(val) < 1e-8
-
-
-def test_majorana_same_chirality_routes_agree(d8):
-    short = majorana_two_point(d8, DELTA0, DELTA1, (1, 1))
-    full = majorana_two_point_integral(d8, DELTA0, DELTA1, (1, 1))
-    assert complex(short) == pytest.approx(complex(full), abs=0.0)
-    with pytest.raises(ValueError):
-        majorana_two_point(d8, DELTA0, DELTA1, (1, 2))
+    for s1, s2 in ((1, -1), (-1, 1)):
+        assert abs(_chiral_two_point(d8, DELTA0, v, s1, s2)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +327,9 @@ def test_critical_flow_converges(d4):
     assert slope == pytest.approx(-1.0, abs=0.3)
 
 
-def test_isometry_defect_small(d8):
-    for m in (2, 5):
-        assert renormalization_isometry_defect(d8, DELTA0, m) < 1e-6
-    # the window holds about 2^m panels, so the depth shares the state cap
-    with pytest.raises(ValueError, match="m must be at most 16"):
-        renormalization_isometry_defect(d8, DELTA0, 17)
-
-
 def test_one_depth_check(d4):
-    # the isometry defect and the state share one depth check
     c = Couplings.critical()
     for m in (-1, 2.5, math.nan):
-        with pytest.raises(ValueError, match="m must be a non-negative integer"):
-            renormalization_isometry_defect(d4, DELTA0, m)
         with pytest.raises(ValueError, match="m must be a non-negative integer"):
             QuasiFreeState.renormalized(c, d4, m)
 
