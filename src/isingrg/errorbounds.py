@@ -20,9 +20,12 @@ that common window the Cauchy-Schwarz chain behind the assembled bound
 holds verbatim, so ``empirical <= certified`` is an exact windowed
 statement, not an asymptotic claim.  The Sobolev norms read the one
 ``|s^|`` sample per filter that :mod:`isingrg.rgflow` keeps on the window,
-the sample its momentum cutoff reads.  Norm weights ``|s^(k)|^{2*gamma}``
-with slowly decaying filters make some windowed norms cutoff-dominated;
-the bound then certifies loosely but remains a true upper bound.
+the sample its momentum cutoff reads.  The pairings read that window with
+its panels halved for the fastest propagator phase, one cached sample per
+filter and level, the renormalized side a prefix of the limit side's.
+Norm weights ``|s^(k)|^{2*gamma}`` with slowly decaying filters make some
+windowed norms cutoff-dominated; the bound then certifies loosely but
+remains a true upper bound.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from typing import Callable, ClassVar, Sequence, Tuple
 
 import numpy as np
 
-from ._quadrature import symmetric_nodes
 from .kernels import Couplings, SelfDualVector, covariance, propagator, z_theta
-from .rgflow import MOMENTUM_WINDOW, _window_abs_s_hat, _window_nodes, _window_octaves
-from .wavelet import Filter, s_hat
+from .rgflow import (MOMENTUM_WINDOW, _window_abs_s_hat, _window_level_blocks,
+                     _window_nodes, _window_octaves)
+from .wavelet import Filter, s_hat  # noqa: F401 (tracers patch every s_hat binding)
 
 __all__ = [
     "InadmissibleFilterError",
@@ -343,18 +346,35 @@ def certified_bound(m: int, t0: float, t: float, v1: SelfDualVector,
 # dynamical pairings and the empirical error
 
 
-def _pairing_nodes(kmax: float, t0: float, t: float, resolution: float):
-    """Quadrature nodes resolving the fastest propagator phase.
+def _pairing_level(t0: float, t: float, resolution: float) -> int:
+    """The window level of :func:`dynamical_pairing` (boundary checks too)."""
+    if not (0 < t < math.inf):
+        raise ValueError("t must be positive and finite")
+    if not math.isfinite(t0):
+        raise ValueError("t0 must be finite")
+    if not (0 < resolution < math.inf):
+        raise ValueError("resolution must be positive and finite")
+    osc = abs(t0) * max(1.0, t)
+    return max(0, math.ceil(math.log2(max(1.0, 2.0 * math.pi * osc)))
+               + round(math.log2(resolution)))
 
-    The lattice-angle panel width scales as ``2^{-m}/t0``; after the change
-    of variables to the common momentum window that is the ``m``-independent
-    width ``1/(4 t0 max(1,|t|))``, capped at ``pi/2`` and floored by the
-    dyadic refinement toward the origin kink.
-    """
-    osc = abs(t0) * max(1.0, abs(t))
-    width = math.pi / 2.0 if osc == 0.0 else min(math.pi / 2.0, 0.25 / osc)
-    return symmetric_nodes(kmax, math.pi / (64.0 * resolution), 16,
-                           max_width=width / resolution)
+
+def _pairing(side: str, m: int, t0: float, t: float, v1: SelfDualVector,
+             v2: SelfDualVector, filt: Filter, level: int) -> complex:
+    """:func:`dynamical_pairing` on window level ``level``, summed blockwise."""
+    window, tau = MOMENTUM_WINDOW, t0
+    if side == "renormalized":
+        window, tau = min(window, (2.0 ** m) * math.pi), t0 * (2.0 ** m)
+    total = 0.0
+    for kp, wp, a in _window_level_blocks(filt, level, window):
+        k = np.concatenate([-kp, kp])
+        z = (z_theta(Couplings.critical(t), k * (2.0 ** -m))
+             if side == "renormalized" else -1j * t * k)
+        # M w2 as C (U w2): two einsums beat one stacked 2x2 matmul fivefold
+        u = np.einsum("nij,nj->ni", propagator(z, tau), v2.weight_conj_reflected(k))
+        vals = np.einsum("ni,nij,nj->n", np.conj(v1.weight(k)), covariance(z, math.inf), u)
+        total += np.dot(np.tile(wp * a * a, 2), vals)
+    return complex(total / (2.0 * math.pi))
 
 
 def dynamical_pairing(side: str, m: int, t0: float, t: float,
@@ -372,6 +392,11 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
     * ``side="limit"``: ``z = -i t k``, ``tau = t0``, over the full window —
       the critical scaling-limit state evolved by its limiting dispersion.
 
+    The nodes are window level ``j = max(0, ceil(log2(max(1, 2 pi osc))) +
+    round(log2(resolution)))``, ``osc = |t0| max(1, t)``: the panels of the
+    Sobolev-norm window halved ``j`` times, none wider than ``1/(4 osc
+    resolution)`` for a power-of-two ``resolution``.
+
     Parameters
     ----------
     side : str
@@ -380,14 +405,14 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
         Renormalization depth (sets the Brillouin window and time rescaling
         on the renormalized side; ignored on the limit side).
     t0, t : float
-        Time separation and hopping amplitude (``t`` positive and finite).
+        Time separation (finite) and hopping amplitude (positive and finite).
     v1, v2 : SelfDualVector
         Smearing vectors; the second enters conjugated, matching the
         pairing convention of the static two-point functions.
     filt : Filter
         Filter whose ``|s^|^2`` weights the integrand.
     resolution : float
-        Multiplier on the oscillation-panel density.
+        Positive, finite multiplier on the oscillation-panel density.
 
     Returns
     -------
@@ -396,26 +421,8 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
     """
     if side not in ("renormalized", "limit"):
         raise ValueError("side must be 'renormalized' or 'limit'")
-    if not (0 < t < math.inf):
-        raise ValueError("t must be positive and finite")
-    window = MOMENTUM_WINDOW
-    if side == "renormalized":
-        window = min(window, (2.0 ** m) * math.pi)
-    k, wq = _pairing_nodes(window, t0, t, resolution)
-
-    if side == "renormalized":
-        z = z_theta(Couplings.critical(t), k * (2.0 ** -m))
-        tau = t0 * (2.0 ** m)
-    else:
-        z = -1j * t * k
-        tau = t0
-    mat = covariance(z, math.inf) @ propagator(z, tau)
-
-    w1 = v1.weight(k)
-    w2c = v2.weight_conj_reflected(k)
-    density = np.abs(s_hat(filt, k)) ** 2
-    vals = np.einsum("ni,nij,nj->n", np.conj(w1), mat, w2c)
-    return complex(np.dot(wq, density * vals) / (2.0 * math.pi))
+    return _pairing(side, m, t0, t, v1, v2, filt,
+                    _pairing_level(t0, t, resolution))
 
 
 def empirical_error(m: int, t0: float, t: float, v1: SelfDualVector,
@@ -423,20 +430,16 @@ def empirical_error(m: int, t0: float, t: float, v1: SelfDualVector,
                     resolution: float = 1.0) -> float:
     """Absolute difference of the renormalized and limit dynamical pairings.
 
-    Both pairings are evaluated at ``resolution`` and again with the panel
-    density doubled; disagreement beyond a relative ``1e-8`` raises
-    :class:`OscillationResolutionError` (the fix is a higher
+    Both pairings are evaluated on the window level ``j`` that
+    :func:`dynamical_pairing` takes at ``resolution`` and again on level
+    ``j + 1`` (panels halved); disagreement beyond a relative ``1e-8``
+    raises :class:`OscillationResolutionError` (the fix is a higher
     ``resolution``).  The refined value is returned.
     """
-    def diff(res: float) -> float:
-        lat = dynamical_pairing("renormalized", m, t0, t, v1, v2, filt,
-                                resolution=res)
-        lim = dynamical_pairing("limit", m, t0, t, v1, v2, filt,
-                                resolution=res)
-        return abs(lat - lim)
-
-    base = diff(resolution)
-    fine = diff(2.0 * resolution)
+    level = _pairing_level(t0, t, resolution)
+    base, fine = (abs(_pairing("renormalized", m, t0, t, v1, v2, filt, j)
+                      - _pairing("limit", m, t0, t, v1, v2, filt, j))
+                  for j in (level, level + 1))
     if abs(base - fine) > max(1e-10, _REFINE_RTOL * max(1.0, fine)):
         raise OscillationResolutionError(
             f"pairing quadrature moved by {abs(base - fine):.3e} under panel "
@@ -475,8 +478,8 @@ def bound_report(m: int, t0: float, t: float, v1: SelfDualVector,
                  v2: SelfDualVector, filt: Filter, gamma: float = 0.5, *,
                  resolution: float = 1.0) -> BoundReport:
     """Certified bound, its components, and the empirical error at one point."""
-    comps = certified_components(m, t0, t, v1, v2, filt, gamma)
     emp = empirical_error(m, t0, t, v1, v2, filt, resolution=resolution)
+    comps = certified_components(m, t0, t, v1, v2, filt, gamma)
     return BoundReport(m=m, t0=t0, empirical_error=emp,
                        certified_bound=sum(comps), components=comps)
 

@@ -49,7 +49,8 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ._quadrature import integrate, symmetric_node_blocks, symmetric_nodes
+from ._quadrature import (dyadic_edges, integrate, panel_nodes,
+                          symmetric_node_blocks, symmetric_nodes)
 from .kernels import (
     Couplings,
     SelfDualVector,
@@ -114,6 +115,8 @@ MOMENTUM_WINDOW = (2.0 ** 9) * math.pi
 # defect of taps treated as orthonormal
 _TAIL_TARGET = 1e-10
 _ORTHONORMAL_TOL = 1e-12
+# refined window levels: order-16 panels per cached block of 2^14 |s^| values
+_LEVEL_PANELS = 1 << 10
 # classify_flow: probed depths, half-width and points of the momentum window
 _CLASSIFY_DEPTHS = (4, 8, 12)
 _CLASSIFY_WINDOW = 0.125
@@ -518,6 +521,34 @@ def _window_abs_s_hat(filt: Filter) -> np.ndarray:
     return a
 
 
+def _level_edges(level: int, kmax: float = MOMENTUM_WINDOW) -> np.ndarray:
+    """Edges on ``[0, kmax]`` of :func:`_window_nodes`' panels halved ``level`` times."""
+    return dyadic_edges(kmax, np.pi / 2.0 ** (6 + level), np.pi / 2.0 ** (1 + level))
+
+
+def _window_level_blocks(filt: Filter, level: int, kmax: float = MOMENTUM_WINDOW):
+    """Positive nodes, weights and ``|s^|`` of window level ``level`` on
+    ``(0, kmax]`` in blocks of ``_LEVEL_PANELS`` order-16 panels; at ``kmax =
+    2^i pi`` they are a prefix of the window's.  Level 0 slices
+    :func:`_window_abs_s_hat`; a finer level reads one cached sample per block
+    (the mirror ``-k`` is bit-identical)."""
+    edges = _level_edges(level, kmax)
+    for b, lo in enumerate(range(0, edges.size - 1, _LEVEL_PANELS)):
+        k, w = panel_nodes(edges[lo:lo + _LEVEL_PANELS + 1], 16)
+        a = (_window_abs_s_hat(filt)[_window_nodes()[0].size // 2 + 16 * lo:]
+             if level == 0 else _refined_abs_s_hat(filt, level, b))
+        yield k, w, a[:k.size]
+
+
+@lru_cache(maxsize=128)  # a t0 in [0, 1] sweep on d4, d6 and d8 reads 102
+def _refined_abs_s_hat(filt: Filter, level: int, block: int) -> np.ndarray:
+    """Read-only ``|s^|`` on block ``block`` of window level ``level >= 1``."""
+    edges = _level_edges(level)[block * _LEVEL_PANELS:(block + 1) * _LEVEL_PANELS + 1]
+    a = np.abs(s_hat(filt, panel_nodes(edges, 16)[0]))
+    a.setflags(write=False)
+    return a
+
+
 def _window_octaves(density: np.ndarray) -> np.ndarray:
     """``Int density dk`` over ``[0, pi]`` and then over each octave
     ``[2^j pi, 2^(j+1) pi]``, ``j = 0..8``, of the window sample."""
@@ -620,10 +651,6 @@ class FlowClassification:
     label: str
     distances: Dict[int, float]
     window: float
-
-    def as_dict(self) -> dict:
-        return {"label": self.label, "window": self.window,
-                "distances": {str(m): d for m, d in self.distances.items()}}
 
 
 def classify_flow(c: Couplings) -> FlowClassification:

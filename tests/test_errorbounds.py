@@ -275,6 +275,74 @@ def test_oscillation_resolution_error(d8):
         empirical_error(2, 20.0, 1.0, V_DIFF0, V_SUM1, d8, resolution=0.01)
 
 
+def test_pairing_input_validation(d8):
+    # every pairing entry point rejects a time or resolution naming no grid
+    calls = (
+        lambda t0, res: dynamical_pairing("limit", 2, t0, 1.0, V_DIFF0, V_SUM1,
+                                          d8, resolution=res),
+        lambda t0, res: empirical_error(2, t0, 1.0, V_DIFF0, V_SUM1, d8,
+                                        resolution=res),
+        lambda t0, res: bound_report(2, t0, 1.0, V_DIFF0, V_SUM1, d8,
+                                     resolution=res),
+    )
+    for call in calls:
+        for t0 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="t0 must be finite"):
+                call(t0, 1.0)
+        for res in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="resolution must be positive"):
+                call(1.0, res)
+
+
+def _level_grid(filt, level, kmax=MOMENTUM_WINDOW):
+    """Positive nodes, weights and |s^| of a window level, blocks joined."""
+    return tuple(np.concatenate(x) for x in
+                 zip(*rgflow._window_level_blocks(filt, level, kmax)))
+
+
+def test_level_zero_pairing_grid_is_window_sample(d8):
+    k, w, a = _level_grid(d8, 0)
+    kw, ww = rgflow._window_nodes()
+    half = kw.size // 2
+    assert np.array_equal(k, kw[half:]) and np.array_equal(-k[::-1], kw[:half])
+    assert np.array_equal(w, ww[half:]) and np.array_equal(w[::-1], ww[:half])
+    assert np.array_equal(a, _window_abs_s_hat(d8)[half:])
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_renormalized_pairing_grid_is_window_prefix(d8, level):
+    # every 2^m pi is a panel edge, so the depth-m side reads exactly the
+    # nodes, weights and |s^| of the limit side below 2^m pi
+    k, w, a = _level_grid(d8, level)
+    for m in (0, 3, 8):
+        n = int(np.searchsorted(k, (2.0 ** m) * math.pi))
+        km, wm, am = _level_grid(d8, level, (2.0 ** m) * math.pi)
+        assert km.size == n and km[-1] < (2.0 ** m) * math.pi < k[n]
+        assert np.array_equal(km, k[:n]) and np.array_equal(wm, w[:n])
+        assert np.array_equal(am, a[:n])
+
+
+def test_pairing_sample_cached_per_filter_and_level(d8, monkeypatch):
+    # t0 = 0.3 and 0.2 both take window levels 1 and 2: the second error,
+    # with other vectors and depth, samples no s_hat; blocks stay bounded
+    calls = []
+
+    def counted(filt, k):
+        calls.append(k.size)
+        return s_hat(filt, k)
+    monkeypatch.setattr(rgflow, "s_hat", counted)
+    rgflow._refined_abs_s_hat.cache_clear()
+    cold = empirical_error(5, 0.3, 1.0, V_DIFF0, V_SUM1, d8)
+    assert calls and max(calls) <= 1 << 14
+    del calls[:]
+    empirical_error(3, 0.2, 1.0, V_SUM0, SelfDualVector.position_diff(2), d8)
+    assert calls == []
+    assert empirical_error(5, 0.3, 1.0, V_DIFF0, V_SUM1, d8) == cold
+    info = rgflow._refined_abs_s_hat.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert not rgflow._refined_abs_s_hat(d8, 2, 0).flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # reports, sweep, CSV
 

@@ -352,13 +352,6 @@ def test_classification_distance_decreases():
         assert d[-1] < 1e-4
 
 
-def test_classification_as_dict():
-    rep = classify_flow(Couplings(1.0, 0.5))
-    d = rep.as_dict()
-    assert d["label"] == "disorder"
-    assert set(d["distances"]) == {"4", "8", "12"}
-
-
 def test_fixed_point_kernels_shape():
     for kern in (DISORDER_KERNEL, ORDER_KERNEL):
         np.testing.assert_allclose(kern, np.conj(kern.T), atol=0)
