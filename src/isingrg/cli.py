@@ -17,7 +17,8 @@ Subcommands
     Exact small-torus partition cross-checks (transfer, tensor, brute
     force), or the golden fixture JSON.
 ``verify``
-    Invariant suites; pass/fail JSON report, exit 0 iff everything passed.
+    Invariant suites of the registry in :mod:`isingrg._invariants`;
+    pass/fail JSON report, exit 0 iff everything passed.
 
 The parsed argument namespace is the run configuration: each ``cmd_*``
 reads its typed flags from it, and every output file records it as-is --
@@ -48,32 +49,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .errorbounds import bound_sweep, sup_constants
-from .correlators import (
-    pfaffian,
-    pfaffian_matchings,
-    spin_spin_correlation,
-    toeplitz_correlation,
-)
-from .kernels import (
-    Couplings,
-    SelfDualVector,
-    SiteVector,
-    covariance_critical_limit,
-    covariance_lattice,
-    covariance_massive_thermal,
-    gibbs_covariance,
-)
-from .lattice_oracle import (
-    TorusSpec,
-    export_fixtures,
-    partition_function_brute,
-    partition_function_tensor,
-    partition_function_transfer,
-)
-from .rgflow import (_KINDS, QuasiFreeState, classify_flow, limit_two_point,
-                     renormalized_two_point)
-from .wavelet import _HIGH_PASS_OFFSET, Filter, high_pass, m0, make_daubechies_filter
+from ._invariants import SUITES, SWEEP_GRIDS
+from .correlators import spin_spin_correlation, toeplitz_correlation
+from .kernels import (Couplings, SiteVector, covariance_critical_limit, covariance_lattice,
+                      covariance_massive_thermal)
+from .lattice_oracle import (TorusSpec, export_fixtures, partition_function_brute,
+                             partition_function_tensor, partition_function_transfer)
+from .rgflow import _KINDS, QuasiFreeState, limit_two_point, renormalized_two_point
+from .wavelet import _HIGH_PASS_OFFSET, Filter, high_pass, make_daubechies_filter
 
 # separations up to this one also carry the Pfaffian-versus-Toeplitz delta
 _PF_CHECK_MAX = 10
@@ -231,7 +214,22 @@ def cmd_flow(args: argparse.Namespace) -> Path:
                   "limit_re", "limit_im", "abs_error"), rows)
 
 
+# the flags each spincorr state reads; a table also reads dmax and check_exponent
+_STATE_FLAGS = {"lattice": ("t1", "t3", "beta", "critical"),
+                "renormalized": ("t1", "t3", "beta", "critical", "filter_taps", "m"),
+                "critical-limit": ("filter_taps",),
+                "massive-thermal": ("filter_taps", "mu0", "beta0", "t1")}
+
+
 def _spincorr_state(args: argparse.Namespace) -> QuasiFreeState:
+    """The requested state, once every flag it does not read is at its default."""
+    reads = {"command", "state", "sites", "format", "out", *_STATE_FLAGS[args.state],
+             *(("dmax", "check_exponent") if args.sites is None else ())}
+    unread = sorted(k for k, v in vars(args).items()
+                    if k not in reads and v != _spincorr_defaults()[k])
+    if unread:
+        flags = ", ".join("--" + k.removesuffix("_taps").replace("_", "-") for k in unread)
+        raise ValueError(f"this spincorr run does not read {flags}; leave it at its default")
     filt = make_daubechies_filter(args.filter_taps // 2)
     if args.state == "lattice":
         return QuasiFreeState.lattice(Couplings(args.t1, args.t3, args.beta))
@@ -308,127 +306,9 @@ def cmd_oracle(args: argparse.Namespace) -> Path:
 # verify
 
 
-def _record(records: List[Dict], suite: str, name: str, passed: bool,
-            detail: str) -> None:
-    records.append({"suite": suite, "name": name,
-                    "passed": bool(passed), "detail": detail})
-
-
-def _verify_wavelet(records: List[Dict], filt: Filter) -> None:
-    tap_sum = float(np.sum(filt.taps))
-    _record(records, "wavelet", "tap-sum equals sqrt(2)",
-            abs(tap_sum - math.sqrt(2.0)) < 1e-12,
-            f"sum h_n = {tap_sum!r}")
-    th = np.linspace(-math.pi, math.pi, 257)
-    qmf = np.abs(np.abs(m0(filt, th)) ** 2 +
-                 np.abs(m0(filt, th + math.pi)) ** 2 - 1.0).max()
-    _record(records, "wavelet", "quadrature-mirror identity",
-            qmf < 1e-12, f"max residual {qmf:.3e}")
-    shifts = [float(np.dot(filt.taps, np.roll(filt.taps, 2 * s)))
-              for s in range(1, filt.order)]
-    worst = max((abs(v) for v in shifts), default=0.0)
-    _record(records, "wavelet", "orthonormal even shifts",
-            worst < 1e-12, f"worst overlap {worst:.3e}")
-
-
-def _verify_kernels(records: List[Dict]) -> None:
-    c = Couplings(1.0, 0.7, 2.5)
-    th = np.linspace(-math.pi, math.pi, 65)
-    closed = covariance_lattice(c, th)
-    spectral = gibbs_covariance(c, th)
-    dev = float(np.abs(closed - spectral).max())
-    _record(records, "kernels", "closed-form vs spectral covariance",
-            dev < 1e-12, f"max deviation {dev:.3e}")
-    herm = float(np.abs(closed - np.conj(np.swapaxes(closed, -1, -2))).max())
-    _record(records, "kernels", "covariance Hermitian",
-            herm < 1e-13, f"max asymmetry {herm:.3e}")
-    eig = np.linalg.eigvalsh(closed)
-    _record(records, "kernels", "covariance spectrum in [0, 2]",
-            bool((eig > -1e-12).all() and (eig < 2 + 1e-12).all()),
-            f"range [{eig.min():.6f}, {eig.max():.6f}]")
-
-
-def _verify_rgflow(records: List[Dict], filt: Filter) -> None:
-    c = Couplings.critical()
-    delta = SiteVector.delta(0)
-    occ = renormalized_two_point(c, filt, 0, delta, delta, "adag_a")
-    s1 = 2.0 * occ.real - 1.0
-    _record(records, "rgflow", "depth-0 transverse field 2/pi",
-            abs(s1 - 2.0 / math.pi) < 1e-12,
-            f"2 Re<a*a> - 1 = {s1!r}, deviation {abs(s1 - 2.0 / math.pi):.3e}")
-    errs = []
-    for m in (4, 6):
-        ren = renormalized_two_point(c, filt, m, delta, delta, "a_adag")
-        lim = limit_two_point(filt, delta, delta, "a_adag")
-        errs.append(abs(ren - lim))
-    _record(records, "rgflow", "flow error shrinks m=4 -> m=6",
-            errs[1] < errs[0], f"errors {errs[0]:.3e} -> {errs[1]:.3e}")
-    cls = classify_flow(Couplings(1.0, 0.5))
-    dist = min(cls.distances.values())
-    _record(records, "rgflow", "disorder coupling classified",
-            cls.label == "disorder",
-            f"classified {cls.label!r}, closest distance {dist:.3e}")
-
-
-def _verify_correlators(records: List[Dict], filt: Filter,
-                        rng: np.random.Generator) -> None:
-    worst = 0.0
-    for _ in range(10):
-        n = int(rng.integers(1, 4)) * 2
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        a = a - a.T
-        worst = max(worst, abs(pfaffian(a) - pfaffian_matchings(a)))
-        worst = max(worst, abs(pfaffian(a) ** 2 - np.linalg.det(a)))
-    _record(records, "correlators", "Pfaffian routes and Pf^2 = det",
-            worst < 1e-10, f"worst deviation {worst:.3e}")
-    lat = QuasiFreeState.lattice(Couplings.critical())
-    v = spin_spin_correlation(lat, (0, 1))
-    _record(records, "correlators", "nearest-neighbor closed form 2/pi",
-            abs(v - 2.0 / math.pi) < 1e-10, f"value {float(v.real)!r}")
-    lim = QuasiFreeState.critical_limit(filt)
-    d = 3
-    pf = spin_spin_correlation(lim, (0, d))
-    tp = toeplitz_correlation(lim, d)
-    _record(records, "correlators", "Pfaffian equals Toeplitz (limit, d=3)",
-            abs(pf - tp) < 1e-10, f"delta {abs(pf - tp):.3e}")
-
-
-def _verify_errorbounds(records: List[Dict], args: argparse.Namespace,
-                        filt: Filter, report_path: Path) -> None:
-    rep = sup_constants(0.25, 0)
-    dev12 = max(abs(rep.values[0] - 0.5), abs(rep.values[1] - 0.5))
-    _record(records, "errorbounds", "static sup-constants equal 1/2",
-            dev12 < 1e-6, f"max deviation {dev12:.3e}")
-    v1 = SelfDualVector.position_diff(0)
-    v2 = SelfDualVector.position_sum(1)
-    ms = (2, 4) if args.grid == "small" else (2, 4, 6, 8)
-    t0s = (0.0, 0.5) if args.grid == "small" else (0.0, 0.5, 1.0)
-    reports = bound_sweep(ms, t0s, 1.0, v1, v2, filt)
-    ok = all(r.satisfied for r in reports)
-    _record(records, "errorbounds", "empirical error within certified bound",
-            ok, f"{sum(r.satisfied for r in reports)}/{len(reports)} grid points")
-    csv_path = _write(
-        args, report_path.parent / f"bound_sweep_{args.grid}.csv", "csv",
-        columns=["m", "t0", "empirical", "bound", "term_order1",
-                 "term_order2", "term_order3", "term_order4"],
-        rows=[(r.m, r.t0, r.empirical_error, r.certified_bound, *r.components)
-              for r in reports])
-    _record(records, "errorbounds", "bound sweep CSV emitted", True,
-            str(csv_path))
-
-
-def _verify_oracle(records: List[Dict]) -> None:
-    spec = TorusSpec(2, 2, 0.4407, 0.4407)
-    zt = partition_function_transfer(spec)
-    zb = partition_function_brute(spec)
-    zx = partition_function_tensor(spec)
-    rel = max(abs(zt - zb), abs(zx - zb)) / zb
-    _record(records, "oracle", "partition triple-route identity",
-            rel < 1e-12, f"relative spread {rel:.3e}")
-
-
 def cmd_verify(args: argparse.Namespace) -> Tuple[Path, int]:
-    """Run invariant suites; write the JSON report; exit 0 iff all passed."""
+    """Run the ``--suite`` suites of the invariant registry; write the JSON
+    report (and the errorbounds sweep table); exit 0 iff all passed."""
     rng = np.random.default_rng(args.seed)
     filt = make_daubechies_filter(args.filter_taps // 2)
     if args.corrupt_filter:
@@ -437,19 +317,23 @@ def cmd_verify(args: argparse.Namespace) -> Tuple[Path, int]:
 
     path = _resolve_path(args, "verify_report.json")
     records: List[Dict] = []
-    if args.suite in ("all", "wavelet"):
-        _verify_wavelet(records, filt)
-    if args.suite in ("all", "kernels"):
-        _verify_kernels(records)
-    if args.suite in ("all", "rgflow"):
-        _verify_rgflow(records, filt)
-    if args.suite in ("all", "correlators"):
-        _verify_correlators(records, filt, rng)
-    if args.suite in ("all", "errorbounds"):
-        _verify_errorbounds(records, args, filt, path)
-    if args.suite in ("all", "oracle"):
-        _verify_oracle(records)
 
+    def run(checks):
+        """The suite's records, then the sweep table's if it returns a sweep."""
+        reports = yield from checks(filt, rng, args.grid)
+        if reports is not None:
+            yield "bound sweep CSV emitted", 0, 1, str(_write(
+                args, path.parent / f"bound_sweep_{args.grid}.csv", "csv",
+                columns=["m", "t0", "empirical", "bound", "term_order1",
+                         "term_order2", "term_order3", "term_order4"],
+                rows=[(r.m, r.t0, r.empirical_error, r.certified_bound, *r.components)
+                      for r in reports]))
+
+    for suite, checks in SUITES.items():
+        if args.suite in ("all", suite):
+            records += ({"suite": suite, "name": name, "passed": bool(value < bound),
+                         "detail": detail}
+                        for name, value, bound, detail in run(checks))
     passed = all(r["passed"] for r in records)
     _write(args, path, "json", passed=passed, records=records)
     for r in records:
@@ -514,10 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("flow", "renormalized two-point flow table", *model)
 
     p = add("spincorr", "spin correlator table", *model, massive_flags)
-    p.add_argument("--state",
-                   choices=("lattice", "renormalized", "critical-limit",
-                            "massive-thermal"),
-                   default="critical-limit")
+    p.add_argument("--state", choices=tuple(_STATE_FLAGS), default="critical-limit")
     p.add_argument("--dmax", type=int, default=8)
     p.add_argument("--sites", type=_parse_sites, default=None,
                    help="comma-separated site list for one explicit product")
@@ -530,11 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", "invariant suites, exit 0 iff pass", filter_flag)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--suite",
-                   choices=("all", "wavelet", "kernels", "rgflow",
-                            "correlators", "errorbounds", "oracle"),
-                   default="all")
-    p.add_argument("--grid", choices=("small", "full"), default="small")
+    p.add_argument("--suite", choices=("all", *SUITES), default="all")
+    p.add_argument("--grid", choices=tuple(SWEEP_GRIDS), default="small")
     p.add_argument("--corrupt-filter", action="store_true",
                    help="negative-test hook: perturb the filter taps")
 
@@ -542,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _parser = lru_cache(maxsize=1)(build_parser)
+_spincorr_defaults = lru_cache(maxsize=1)(lambda: vars(_parser().parse_args(["spincorr"])))
 
 _TABLE_COMMANDS = {
     "filters": cmd_filters,

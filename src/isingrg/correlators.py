@@ -44,6 +44,7 @@ from .rgflow import (
     _FINEST,
     _ORDER,
     QuasiFreeState,
+    _check_integer,
     _lag_matrix,
     _osc_width,
     _state_kernel_weight,
@@ -211,7 +212,7 @@ def spin_spin_correlation(state: QuasiFreeState, sites: Sequence[int]) -> comple
     evaluated as a Pfaffian of pair expectations, each read off the state's
     lag table.
     """
-    sites = sorted(int(s) for s in sites)
+    sites = sorted(_check_integer(s, -np.inf, "sites must be integers") for s in sites)
     if len(sites) % 2:
         return 0j
     # contract repeated sites: keep odd-multiplicity sites only
@@ -258,12 +259,8 @@ class ToeplitzSymbol:
 
 def toeplitz_symbol(state: QuasiFreeState, separation: int) -> ToeplitzSymbol:
     """Evaluate the mixed-pair symbol for a two-site correlation."""
-    d = int(separation)
-    if d < 1:
-        raise ValueError("separation must be >= 1")
-    lags = {}
-    for s in range(-d, d - 1):
-        lags[s] = _tagged_two_point(state, "diff", 0, "sum", -s)
+    d = _check_integer(separation, 1, "separation must be a positive integer")
+    lags = {s: _tagged_two_point(state, "diff", 0, "sum", -s) for s in range(-d, d - 1)}
     return ToeplitzSymbol(separation=d, lags=lags)
 
 

@@ -37,7 +37,7 @@ from typing import Callable, ClassVar, Sequence, Tuple
 import numpy as np
 
 from .kernels import Couplings, SelfDualVector, covariance, propagator, z_theta
-from .rgflow import (MOMENTUM_WINDOW, _window_abs_s_hat, _window_level_blocks,
+from .rgflow import (MOMENTUM_WINDOW, _check_depth, _window_abs_s_hat, _window_level_blocks,
                      _window_nodes, _window_octaves)
 from .wavelet import Filter, s_hat  # noqa: F401 (tracers patch every s_hat binding)
 
@@ -312,10 +312,12 @@ def certified_components(m: int, t0: float, t: float, v1: SelfDualVector,
     * order 4: cosine propagator difference, coefficient
       ``2^{-m}(8/3)(t0 t)^2``,
 
-    all multiplied by the overall prefactor ``2^{-m} sqrt2/(2 pi)``.
+    all multiplied by the overall prefactor ``2^{-m} sqrt2/(2 pi)``; ``m``
+    is an integer in ``[0, MAX_DEPTH]``, as for every function here.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
+    _check_depth(m)
     n = {j: sobolev_norm(v1, filt, 1.0 - gamma, j) for j in (1, 2, 3, 4)}
     npr = {j: sobolev_norm(v2, filt, gamma, j) for j in (1, 2, 3, 4)}
     pref = (2.0 ** -m) * _SQRT2 / (2.0 * math.pi)
@@ -346,8 +348,9 @@ def certified_bound(m: int, t0: float, t: float, v1: SelfDualVector,
 # dynamical pairings and the empirical error
 
 
-def _pairing_level(t0: float, t: float, resolution: float) -> int:
+def _pairing_level(m: int, t0: float, t: float, resolution: float) -> int:
     """The window level of :func:`dynamical_pairing` (boundary checks too)."""
+    _check_depth(m)
     if not (0 < t < math.inf):
         raise ValueError("t must be positive and finite")
     if not math.isfinite(t0):
@@ -402,8 +405,9 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
     side : str
         ``"renormalized"`` or ``"limit"``.
     m : int
-        Renormalization depth (sets the Brillouin window and time rescaling
-        on the renormalized side; ignored on the limit side).
+        Renormalization depth, an integer in ``[0, MAX_DEPTH]`` on either
+        side (it sets the Brillouin window and time rescaling of the
+        renormalized side).
     t0, t : float
         Time separation (finite) and hopping amplitude (positive and finite).
     v1, v2 : SelfDualVector
@@ -422,7 +426,7 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
     if side not in ("renormalized", "limit"):
         raise ValueError("side must be 'renormalized' or 'limit'")
     return _pairing(side, m, t0, t, v1, v2, filt,
-                    _pairing_level(t0, t, resolution))
+                    _pairing_level(m, t0, t, resolution))
 
 
 def empirical_error(m: int, t0: float, t: float, v1: SelfDualVector,
@@ -436,7 +440,7 @@ def empirical_error(m: int, t0: float, t: float, v1: SelfDualVector,
     raises :class:`OscillationResolutionError` (the fix is a higher
     ``resolution``).  The refined value is returned.
     """
-    level = _pairing_level(t0, t, resolution)
+    level = _pairing_level(m, t0, t, resolution)
     base, fine = (abs(_pairing("renormalized", m, t0, t, v1, v2, filt, j)
                       - _pairing("limit", m, t0, t, v1, v2, filt, j))
                   for j in (level, level + 1))

@@ -123,16 +123,25 @@ _CLASSIFY_WINDOW = 0.125
 _CLASSIFY_POINTS = 65
 
 
+def _check_integer(value, lo: float, error: str) -> int:
+    """``value`` as an int if it is an integer (not a bool) of at least ``lo``,
+    else ``ValueError(error)``: depths, separations and sites are never truncated."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real)
+                                                    and float(value).is_integer())
+    if isinstance(value, bool) or not (whole and value >= lo):
+        raise ValueError(error)
+    return int(value)
+
+
 def _check_depth(m) -> int:
     """The depth ``m`` as an int: a non-negative integer up to ``MAX_DEPTH``
     (a depth-``m`` table applies ``T`` ``m`` times to about ``2^m`` lattice
     lags per lag)."""
-    if not (isinstance(m, numbers.Real) and m >= 0 and float(m).is_integer()):
-        raise ValueError("m must be a non-negative integer")
+    m = _check_integer(m, 0, "m must be a non-negative integer")
     if m > MAX_DEPTH:
         raise ValueError(f"m must be at most {MAX_DEPTH} (a depth-m table "
                          "applies T m times to about 2^m lattice lags per lag)")
-    return int(m)
+    return m
 
 
 def _osc_width(*vectors: SiteVector) -> float:

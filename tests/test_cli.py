@@ -200,6 +200,41 @@ def test_spincorr_rejects_options_it_does_not_read(tmp_path, monkeypatch):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--state", "critical-limit", "--m", "5", "--mu0", "3", "--t3", "0.2",
+     "--beta", "2", "--dmax", "2"],
+    ["--state", "critical-limit", "--critical"],
+    ["--state", "lattice", "--filter", "d4", "--dmax", "2"],
+    ["--state", "lattice", "--beta0", "2", "--dmax", "2"],
+    ["--state", "renormalized", "--filter", "d4", "--m", "2", "--mu0", "2"],
+    ["--state", "massive-thermal", "--t3", "0.5", "--dmax", "2"],
+    ["--state", "massive-thermal", "--critical", "--dmax", "2"],
+    ["--state", "massive-thermal", "--m", "2", "--dmax", "2"],
+    # a --sites product reads no table size and fits no exponent
+    ["--state", "lattice", "--sites", "0,1", "--dmax", "50", "--check-exponent"],
+    ["--state", "lattice", "--sites", "0,1", "--dmax", "2"],
+])
+def test_spincorr_rejects_flags_its_state_does_not_read(argv, tmp_path, monkeypatch,
+                                                        capsys):
+    # an unread flag away from its default would be recorded but change no row
+    assert run_cli(["spincorr", *argv, "--out", "x.csv"], monkeypatch, tmp_path) == 2
+    assert not (tmp_path / "x.csv").exists()
+    assert "does not read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--state", "lattice", "--t1", "2", "--t3", "1", "--beta", "3", "--dmax", "2"],
+    ["--state", "lattice", "--critical", "--t1", "2", "--sites", "0,1"],
+    ["--state", "renormalized", "--filter", "d4", "--m", "2", "--t3", "0.8",
+     "--beta", "5", "--dmax", "8", "--check-exponent"],
+    ["--state", "critical-limit", "--filter", "d4", "--dmax", "2"],
+    ["--state", "massive-thermal", "--filter", "d4", "--mu0", "2", "--beta0", "3",
+     "--t1", "1.5", "--sites", "0,1"],
+])
+def test_spincorr_accepts_every_flag_its_state_reads(argv, tmp_path, monkeypatch):
+    assert run_cli(["spincorr", *argv, "--out", "x.csv"], monkeypatch, tmp_path) == 0
+
+
 def test_spincorr_rejects_nonphysical_massive_state(tmp_path, monkeypatch,
                                                     capsys):
     # beta0 <= 0 or t = t1 <= 0 names no state: exit 2, no table
@@ -278,12 +313,18 @@ def test_oracle_fixture_export_matches_frozen(tmp_path, monkeypatch,
         assert g["Z"] == pytest.approx(w["Z"], rel=1e-12)
 
 
-def test_verify_suite_passes(tmp_path, monkeypatch, capsys):
-    assert run_cli(["verify", "--suite", "wavelet", "--out", "rep.json"],
+SUITES = ("wavelet", "kernels", "rgflow", "correlators", "errorbounds", "oracle")
+
+
+@pytest.mark.parametrize("suite", [*SUITES, "all"])
+def test_verify_suite_passes(suite, tmp_path, monkeypatch, capsys):
+    assert run_cli(["verify", "--suite", suite, "--out", "rep.json"],
                    monkeypatch, tmp_path) == 0
     report = json.loads((tmp_path / "rep.json").read_text())
     assert report["passed"] is True
     assert all(r["passed"] for r in report["records"])
+    ran = list(dict.fromkeys(r["suite"] for r in report["records"]))
+    assert ran == (list(SUITES) if suite == "all" else [suite])
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
 

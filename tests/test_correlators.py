@@ -160,6 +160,24 @@ def test_equal_states_share_one_normal_form(lattice_state, limit_state, d4, d8):
         assert _lag_octave.cache_info().misses == misses
 
 
+@pytest.mark.parametrize("separation", [2.7, True, 0, -10 ** 400, math.nan, math.inf])
+def test_separation_checked_not_truncated(lattice_state, separation):
+    with pytest.raises(ValueError, match="separation must be a positive integer"):
+        toeplitz_correlation(lattice_state, separation)
+
+
+@pytest.mark.parametrize("sites", [(0, 2.5), (True, 3), (0, math.nan)])
+def test_sites_checked_not_truncated(lattice_state, sites):
+    with pytest.raises(ValueError, match="sites must be integers"):
+        spin_spin_correlation(lattice_state, sites)
+
+
+def test_integral_floats_name_their_integer(lattice_state):
+    assert toeplitz_correlation(lattice_state, 2.0) == toeplitz_correlation(lattice_state, 2)
+    assert (spin_spin_correlation(lattice_state, (0.0, 3.0))
+            == spin_spin_correlation(lattice_state, (0, 3)))
+
+
 def test_massive_state_needs_finite_mass(d8):
     for mu0 in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="mu0"):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from isingrg import cli
+from isingrg import _invariants, cli
 from isingrg.errorbounds import (
     BoundReport,
     InadmissibleFilterError,
@@ -25,8 +25,9 @@ from isingrg.errorbounds import (
 )
 from isingrg import errorbounds, rgflow
 from isingrg._quadrature import symmetric_nodes
-from isingrg.kernels import SelfDualVector
-from isingrg.rgflow import MOMENTUM_WINDOW, QuasiFreeState, _window_abs_s_hat, momentum_cutoff
+from isingrg.kernels import SelfDualVector, SiteVector
+from isingrg.rgflow import (MOMENTUM_WINDOW, QuasiFreeState, _lag_matrix, _window_abs_s_hat,
+                            momentum_cutoff)
 from isingrg.wavelet import make_daubechies_filter, s_hat
 
 
@@ -294,6 +295,61 @@ def test_pairing_input_validation(d8):
                 call(1.0, res)
 
 
+@pytest.mark.parametrize("m", [-1, 2.5, 17, 40, 10 ** 400, True, math.nan])
+def test_depth_checked_not_truncated(m, d8):
+    # a negative, fractional, boolean or past-MAX_DEPTH depth names no
+    # renormalized state, on either pairing side and in every bound
+    calls = (
+        lambda: certified_components(m, 0.5, 1.0, V_DIFF0, V_SUM1, d8),
+        lambda: dynamical_pairing("renormalized", m, 0.5, 1.0, V_DIFF0, V_SUM1, d8),
+        lambda: dynamical_pairing("limit", m, 0.5, 1.0, V_DIFF0, V_SUM1, d8),
+        lambda: empirical_error(m, 0.5, 1.0, V_DIFF0, V_SUM1, d8),
+        lambda: bound_report(m, 0.5, 1.0, V_DIFF0, V_SUM1, d8),
+        lambda: bound_sweep((m,), (0.5,), 1.0, V_DIFF0, V_SUM1, d8),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="m must be"):
+            call()
+
+
+_P_PLUS = np.array([[1.0, 1.0], [1.0, 1.0]]) / 2.0
+_P_MINUS = np.array([[1.0, -1.0], [-1.0, 1.0]]) / 2.0
+
+
+def _site_weights(v):
+    """``{j: (xi_j, eta_j)}`` of a doubled-space vector."""
+    out = {}
+    for slot, part in enumerate((v.xi, v.eta)):
+        for j, x in zip(part.sites.tolist(), part.values):
+            out.setdefault(j, np.zeros(2, dtype=complex))[slot] += x
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_limit_dynamics_translates_static_table(p):
+    # at integer c = 2 t0 t the limit pairing is the static critical-limit
+    # table shifted by +c on P+ = (I + sigma_x)/2 and by -c on P-:
+    # sum_{j,l} conj(w1_j)^T [P(j-l+c) P+ + P(j-l-c) P-] conj(w2_l); the two
+    # sides share no nodes (window levels against the table's octave panels)
+    filt = make_daubechies_filter(p)
+    state = QuasiFreeState.critical_limit(filt)
+    rng = np.random.default_rng(p)
+
+    def random_vector():
+        part = lambda: SiteVector(tuple(rng.normal(size=2) + 1j * rng.normal(size=2)))
+        return SelfDualVector(part(), part())
+
+    for v1, v2 in ((V_DIFF0, V_SUM1), (random_vector(), random_vector())):
+        for c in (-1, 0, 1, 2):
+            want = sum(np.conj(w1) @ (_lag_matrix(state, j - l + c) @ _P_PLUS
+                                      + _lag_matrix(state, j - l - c) @ _P_MINUS)
+                       @ np.conj(w2)
+                       for j, w1 in _site_weights(v1).items()
+                       for l, w2 in _site_weights(v2).items())
+            got = dynamical_pairing("limit", 0, c / 2.0, 1.0, v1, v2, filt)
+            assert abs(got - want) <= 1e-13, (c, got, want)
+
+
 def _level_grid(filt, level, kmax=MOMENTUM_WINDOW):
     """Positive nodes, weights and |s^| of a window level, blocks joined."""
     return tuple(np.concatenate(x) for x in
@@ -391,7 +447,7 @@ def test_verify_writes_bound_sweep_table(tmp_path, monkeypatch, small_sweep,
         grids.append(grid)
         return small_sweep
 
-    monkeypatch.setattr(cli, "bound_sweep", sweep)
+    monkeypatch.setattr(_invariants, "bound_sweep", sweep)
     monkeypatch.setenv("ISINGRG_OUTDIR", str(tmp_path))
     assert cli.main(["verify", "--suite", "errorbounds", "--out", "rep.json"]) == 0
     assert grids == [((2, 4), (0.0, 0.5), 1.0, V_DIFF0, V_SUM1, d8)]

@@ -7,6 +7,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from isingrg.correlators import self_dual_two_point, toeplitz_correlation
@@ -327,9 +329,39 @@ def test_critical_flow_converges(d4):
     assert slope == pytest.approx(-1.0, abs=0.3)
 
 
+def _lag_section(state, sites=33):
+    """The block-Toeplitz section ``[P(j - l)]`` of the lag table."""
+    return np.block([[_lag_matrix(state, j - l) for l in range(sites)]
+                     for j in range(sites)])
+
+
+def _assert_state_section(state, tail=0.0):
+    # a state's two-point section is Hermitian with spectrum in [0, 2]; a
+    # windowed limit table may leave it by its window tail
+    section = _lag_section(state)
+    assert np.abs(section - section.conj().T).max() <= 1e-15
+    eig = np.linalg.eigvalsh(section)
+    assert eig.min() >= -1e-12 - tail and eig.max() <= 2.0 + 1e-12 + tail
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 5), t1=st.floats(0.1, 3.0), t3=st.floats(0.0, 3.0),
+       beta=st.one_of(st.just(math.inf), st.floats(0.05, 50.0)), m=st.integers(0, 8))
+def test_every_lag_table_is_a_state(p, t1, t3, beta, m):
+    _assert_state_section(QuasiFreeState.renormalized(Couplings(t1, t3, beta),
+                                                      make_daubechies_filter(p), m))
+
+
+@pytest.mark.parametrize("p, mu0, beta0", [(4, 0.0, math.inf), (2, 1.0, 2.0)])
+def test_limit_lag_tables_are_states(p, mu0, beta0):
+    filt = make_daubechies_filter(p)
+    _assert_state_section(QuasiFreeState.massive_thermal(filt, mu0, beta0),
+                          momentum_cutoff(filt).tail)
+
+
 def test_one_depth_check(d4):
     c = Couplings.critical()
-    for m in (-1, 2.5, math.nan):
+    for m in (-1, 2.5, math.nan, True):
         with pytest.raises(ValueError, match="m must be a non-negative integer"):
             QuasiFreeState.renormalized(c, d4, m)
 
