@@ -31,13 +31,11 @@ an oracle that a test compares against: ``self_dual_two_point(_expanded)``,
 
 from .correlators import (
     SkewMatrix,
-    ToeplitzSymbol,
     pfaffian,
     pfaffian_matchings,
     self_dual_two_point,
     spin_spin_correlation,
     toeplitz_correlation,
-    toeplitz_symbol,
 )
 from .errorbounds import (
     BoundReport,
@@ -46,7 +44,6 @@ from .errorbounds import (
     SupConstantsReport,
     bound_report,
     bound_sweep,
-    certified_bound,
     dynamical_pairing,
     empirical_error,
     sobolev_norm,
@@ -112,12 +109,10 @@ __all__ = [
     "MOMENTUM_WINDOW",
     # correlators
     "SkewMatrix",
-    "ToeplitzSymbol",
     "pfaffian",
     "pfaffian_matchings",
     "self_dual_two_point",
     "spin_spin_correlation",
-    "toeplitz_symbol",
     "toeplitz_correlation",
     # errorbounds
     "InadmissibleFilterError",
@@ -126,7 +121,6 @@ __all__ = [
     "BoundReport",
     "sup_constants",
     "sobolev_norm",
-    "certified_bound",
     "dynamical_pairing",
     "empirical_error",
     "bound_report",

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import __version__
 from ._invariants import SUITES, SWEEP_GRIDS
-from .correlators import spin_spin_correlation, toeplitz_correlation
+from .correlators import _MAX_STRING, spin_spin_correlation, toeplitz_correlation
 from .kernels import (Couplings, SiteVector, covariance_critical_limit, covariance_lattice,
                       covariance_massive_thermal)
 from .lattice_oracle import (TorusSpec, export_fixtures, partition_function_brute,
@@ -262,6 +262,8 @@ def cmd_spincorr(args: argparse.Namespace) -> Path:
 
     if args.dmax < 1:
         raise ValueError("--dmax must be at least 1")
+    if args.dmax > _MAX_STRING:
+        raise ValueError(f"--dmax must be at most {_MAX_STRING} (the string cap)")
     values = []
     for d in range(1, args.dmax + 1):
         val = toeplitz_correlation(state, d)

@@ -31,9 +31,9 @@ pivoted Pfaffian.  Everything else here is a production route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -53,20 +53,18 @@ from .rgflow import (
 
 __all__ = [
     "SkewMatrix",
-    "ToeplitzSymbol",
     "self_dual_two_point",
     "self_dual_two_point_expanded",
     "pfaffian",
     "pfaffian_matchings",
     "spin_spin_correlation",
-    "toeplitz_symbol",
     "toeplitz_correlation",
 ]
 
 _MAX_STRING = 64
 
-# string-factor tag -> (lag-table slot, phase)
-_SLOTS = {"sum": (0, 1.0), "diff": (1, -1.0j)}
+# phase of a string factor by lag-table slot: 0 is a + a*, 1 is a - a*
+_PHASES = (1.0, -1.0j)
 
 
 def self_dual_two_point(state: QuasiFreeState, v1: SelfDualVector,
@@ -187,21 +185,20 @@ def _string_factors(pairs: Sequence[Tuple[int, int]]):
     """Majorana factor list for ``prod s3_a s3_b`` over site pairs.
 
     Each pair contributes ``(a_l - a*_l)(a_{l+1} + a*_{l+1})`` for
-    ``a <= l < b``; factors are tagged ("diff"/"sum", site).
+    ``a <= l < b``; factors are ``(site, slot)``.
     """
     factors = []
     for (sa, sb) in pairs:
         for l in range(sa, sb):
-            factors.append(("diff", l))
-            factors.append(("sum", l + 1))
+            factors.append((l, 1))
+            factors.append((l + 1, 0))
     return factors
 
 
-def _tagged_two_point(state: QuasiFreeState, tag1: str, s1: int, tag2: str,
-                      s2: int) -> complex:
-    """Pair expectation of two tagged string factors, read off the lag table."""
-    (a, p1), (b, p2) = _SLOTS[tag1], _SLOTS[tag2]
-    return p1 * p2 * complex(_lag_matrix(state, s1 - s2)[a, b])
+def _pair(state: QuasiFreeState, s1: int, a: int, s2: int, b: int) -> complex:
+    """Pair expectation of the string factors in slot ``a`` at site ``s1``
+    and slot ``b`` at site ``s2``, read off the lag table."""
+    return _PHASES[a] * _PHASES[b] * complex(_lag_matrix(state, s1 - s2)[a, b])
 
 
 def spin_spin_correlation(state: QuasiFreeState, sites: Sequence[int]) -> complex:
@@ -233,39 +230,20 @@ def spin_spin_correlation(state: QuasiFreeState, sites: Sequence[int]) -> comple
     M = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(i + 1, n):
-            M[i, j] = _tagged_two_point(state, *factors[i], *factors[j])
+            M[i, j] = _pair(state, *factors[i], *factors[j])
             M[j, i] = -M[i, j]
     return pfaffian(SkewMatrix(M))
 
 
-@dataclass(frozen=True)
-class ToeplitzSymbol:
-    """Mixed-pair symbol values ``C3(s)`` for lags ``s`` in ``[-d, d-2]``.
-
-    ``C3(s) = <(a_j - a*_j)(a_{j'} + a*_{j'})>`` at ``s = j - j'``.  The
-    symbol is generally *asymmetric* in ``s``.
-    """
-
-    separation: int
-    lags: Dict[int, complex] = field(repr=False)
-
-    def matrix(self) -> np.ndarray:
-        """The ``d x d`` Toeplitz matrix with entry ``(r, c) = C3(c - r - 1)``."""
-        d = self.separation
-        column = np.array([self.lags[-r - 1] for r in range(d)], dtype=complex)
-        row = np.array([self.lags[c - 1] for c in range(d)], dtype=complex)
-        return toeplitz(column, row)
-
-
-def toeplitz_symbol(state: QuasiFreeState, separation: int) -> ToeplitzSymbol:
-    """Evaluate the mixed-pair symbol for a two-site correlation."""
-    d = _check_integer(separation, 1, "separation must be a positive integer")
-    lags = {s: _tagged_two_point(state, "diff", 0, "sum", -s) for s in range(-d, d - 1)}
-    return ToeplitzSymbol(separation=d, lags=lags)
-
-
 def toeplitz_correlation(state: QuasiFreeState, separation: int) -> complex:
-    """Two-site correlation ``<s3_0 s3_d>`` as a Toeplitz determinant."""
-    sym = toeplitz_symbol(state, separation)
-    return complex(np.linalg.det(sym.matrix()))
+    """Two-site correlation ``<s3_0 s3_d>`` as the determinant of the
+    ``d x d`` Toeplitz matrix with entry ``(r, c) = C3(c - r - 1)``.
 
+    ``C3(s) = <(a_j - a*_j)(a_{j'} + a*_{j'})>`` at ``s = j - j'`` is
+    generally *asymmetric* in ``s``; ``d`` is capped like a string.
+    """
+    d = _check_integer(separation, 1, "separation must be a positive integer")
+    if d > _MAX_STRING:
+        raise ValueError(f"string length {d} exceeds {_MAX_STRING}")
+    c3 = np.array([_pair(state, 0, 1, -s, 0) for s in range(-d, d - 1)])
+    return complex(np.linalg.det(toeplitz(c3[d - 1::-1], c3[d - 1:])))

@@ -49,7 +49,6 @@ __all__ = [
     "covariance_deviation",
     "sobolev_norm",
     "certified_components",
-    "certified_bound",
     "dynamical_pairing",
     "empirical_error",
     "BoundReport",
@@ -205,15 +204,19 @@ def sup_constants(t0_times_t: float = 0.25,
     Parameters
     ----------
     t0_times_t : float
-        Product ``t0 * t`` entering the propagator phases.
+        Finite product ``t0 * t`` entering the propagator phases.
     scale_exponent : int
-        Depth ``m``; the phase scale is ``c = 2 * t0_times_t * 2^m``.
+        Depth ``m``, an integer in ``[0, MAX_DEPTH]``; the phase scale is
+        ``c = 2 * t0_times_t * 2^m``.
 
     Returns
     -------
     SupConstantsReport
         Measured maxima, their locations, and the claimed closed forms.
     """
+    if not math.isfinite(t0_times_t):
+        raise ValueError("t0_times_t must be finite")
+    scale_exponent = _check_depth(scale_exponent)
     c = 2.0 * t0_times_t * (2.0 ** scale_exponent)
     grid = np.concatenate([
         np.geomspace(1e-8, 0.1, 241),
@@ -331,35 +334,19 @@ def certified_components(m: int, t0: float, t: float, v1: SelfDualVector,
     return (term1, term2, term3, term4)
 
 
-def certified_bound(m: int, t0: float, t: float, v1: SelfDualVector,
-                    v2: SelfDualVector, filt: Filter,
-                    gamma: float = 0.5) -> float:
-    """Assembled certified bound on the windowed dynamical pairing error.
-
-    Exactly the sum of :func:`certified_components`; invariant (to the last
-    bit) under swapping ``(v1, gamma) <-> (v2, 1-gamma)`` together with
-    time reversal ``t0 -> -t0``.
-    """
-    c1, c2, c3, c4 = certified_components(m, t0, t, v1, v2, filt, gamma)
-    return c1 + c2 + c3 + c4
-
-
 # ---------------------------------------------------------------------------
 # dynamical pairings and the empirical error
 
 
-def _pairing_level(m: int, t0: float, t: float, resolution: float) -> int:
+def _pairing_level(m: int, t0: float, t: float) -> int:
     """The window level of :func:`dynamical_pairing` (boundary checks too)."""
     _check_depth(m)
     if not (0 < t < math.inf):
         raise ValueError("t must be positive and finite")
     if not math.isfinite(t0):
         raise ValueError("t0 must be finite")
-    if not (0 < resolution < math.inf):
-        raise ValueError("resolution must be positive and finite")
     osc = abs(t0) * max(1.0, t)
-    return max(0, math.ceil(math.log2(max(1.0, 2.0 * math.pi * osc)))
-               + round(math.log2(resolution)))
+    return max(0, math.ceil(math.log2(max(1.0, 2.0 * math.pi * osc))))
 
 
 def _pairing(side: str, m: int, t0: float, t: float, v1: SelfDualVector,
@@ -381,8 +368,7 @@ def _pairing(side: str, m: int, t0: float, t: float, v1: SelfDualVector,
 
 
 def dynamical_pairing(side: str, m: int, t0: float, t: float,
-                      v1: SelfDualVector, v2: SelfDualVector, filt: Filter, *,
-                      resolution: float = 1.0) -> complex:
+                      v1: SelfDualVector, v2: SelfDualVector, filt: Filter) -> complex:
     """Windowed dynamical pairing of two smeared doubled-space vectors.
 
     Evaluates ``(1/2pi) Int |s^(k)|^2 w1(k)^dag M(k) conj(w2(-k)) dk`` with
@@ -395,10 +381,9 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
     * ``side="limit"``: ``z = -i t k``, ``tau = t0``, over the full window —
       the critical scaling-limit state evolved by its limiting dispersion.
 
-    The nodes are window level ``j = max(0, ceil(log2(max(1, 2 pi osc))) +
-    round(log2(resolution)))``, ``osc = |t0| max(1, t)``: the panels of the
-    Sobolev-norm window halved ``j`` times, none wider than ``1/(4 osc
-    resolution)`` for a power-of-two ``resolution``.
+    The nodes are window level ``j = max(0, ceil(log2(max(1, 2 pi osc))))``,
+    ``osc = |t0| max(1, t)``: the panels of the Sobolev-norm window halved
+    ``j`` times, none wider than ``1/(4 osc)``.
 
     Parameters
     ----------
@@ -415,8 +400,6 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
         pairing convention of the static two-point functions.
     filt : Filter
         Filter whose ``|s^|^2`` weights the integrand.
-    resolution : float
-        Positive, finite multiplier on the oscillation-panel density.
 
     Returns
     -------
@@ -425,30 +408,26 @@ def dynamical_pairing(side: str, m: int, t0: float, t: float,
     """
     if side not in ("renormalized", "limit"):
         raise ValueError("side must be 'renormalized' or 'limit'")
-    return _pairing(side, m, t0, t, v1, v2, filt,
-                    _pairing_level(m, t0, t, resolution))
+    return _pairing(side, m, t0, t, v1, v2, filt, _pairing_level(m, t0, t))
 
 
 def empirical_error(m: int, t0: float, t: float, v1: SelfDualVector,
-                    v2: SelfDualVector, filt: Filter, *,
-                    resolution: float = 1.0) -> float:
+                    v2: SelfDualVector, filt: Filter) -> float:
     """Absolute difference of the renormalized and limit dynamical pairings.
 
     Both pairings are evaluated on the window level ``j`` that
-    :func:`dynamical_pairing` takes at ``resolution`` and again on level
-    ``j + 1`` (panels halved); disagreement beyond a relative ``1e-8``
-    raises :class:`OscillationResolutionError` (the fix is a higher
-    ``resolution``).  The refined value is returned.
+    :func:`dynamical_pairing` takes and again on level ``j + 1`` (panels
+    halved); disagreement beyond a relative ``1e-8`` raises
+    :class:`OscillationResolutionError`.  The refined value is returned.
     """
-    level = _pairing_level(m, t0, t, resolution)
+    level = _pairing_level(m, t0, t)
     base, fine = (abs(_pairing("renormalized", m, t0, t, v1, v2, filt, j)
                       - _pairing("limit", m, t0, t, v1, v2, filt, j))
                   for j in (level, level + 1))
     if abs(base - fine) > max(1e-10, _REFINE_RTOL * max(1.0, fine)):
         raise OscillationResolutionError(
             f"pairing quadrature moved by {abs(base - fine):.3e} under panel "
-            f"doubling; rerun with resolution > {2.0 * resolution:g} to "
-            "refine the oscillation panels")
+            f"doubling (window level {level} to {level + 1})")
     return fine
 
 
@@ -479,10 +458,9 @@ class BoundReport:
 
 
 def bound_report(m: int, t0: float, t: float, v1: SelfDualVector,
-                 v2: SelfDualVector, filt: Filter, gamma: float = 0.5, *,
-                 resolution: float = 1.0) -> BoundReport:
+                 v2: SelfDualVector, filt: Filter, gamma: float = 0.5) -> BoundReport:
     """Certified bound, its components, and the empirical error at one point."""
-    emp = empirical_error(m, t0, t, v1, v2, filt, resolution=resolution)
+    emp = empirical_error(m, t0, t, v1, v2, filt)
     comps = certified_components(m, t0, t, v1, v2, filt, gamma)
     return BoundReport(m=m, t0=t0, empirical_error=emp,
                        certified_bound=sum(comps), components=comps)

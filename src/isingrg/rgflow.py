@@ -641,7 +641,7 @@ def calibrated_couplings(t: float, mu0: float, beta0: float, m: int) -> Coupling
     scaled by ``2^m`` so that ``2^m z(2^-m k) -> t (mu0 - i k)`` and
     ``beta |z| -> beta0 t omega(k)``.
     """
-    scale = 2.0 ** m
+    scale = 2.0 ** _check_depth(m)
     if mu0 / scale >= 1.0:
         raise ValueError("mu0 / 2^m must stay below 1 (t3 >= 0)")
     beta = math.inf if math.isinf(beta0) else scale * beta0

@@ -265,6 +265,9 @@ def test_spincorr_rejects_nonphysical_massive_state(tmp_path, monkeypatch,
     # sizes that would give an empty, reversed or degenerate table
     ["spincorr", "--state", "lattice", "--dmax", "0"],
     ["spincorr", "--state", "lattice", "--dmax", "-2"],
+    # a table past the string cap, rejected before any lag is read
+    ["spincorr", "--state", "lattice", "--dmax", "65"],
+    ["spincorr", "--state", "renormalized", "--m", "16", "--dmax", "100000"],
     ["kernel", "--kmax", "-1"],
     ["kernel", "--kmax", "0"],
     ["kernel", "--points", "0"],
@@ -350,3 +353,25 @@ def test_verify_corrupt_filter_fails(tmp_path, monkeypatch, capsys):
     # the broken invariant is named: scaled taps no longer sum to sqrt2
     assert any("sum" in r["detail"] for r in failing)
     assert "[FAIL]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    # the scaled taps make the pairing quadrature move under panel doubling
+    ["--suite", "errorbounds", "--corrupt-filter"],
+    ["--corrupt-filter"],
+    # the two-tap filter's weighted density does not decay on the window
+    ["--suite", "errorbounds", "--filter", "haar"],
+])
+def test_verify_sweep_error_fails_its_record(argv, tmp_path, monkeypatch, capsys):
+    code = run_cli(["verify", *argv, "--out", "rep.json"], monkeypatch, tmp_path)
+    assert code == 1
+    report = json.loads((tmp_path / "rep.json").read_text())
+    assert report["passed"] is False
+    [sweep] = [r for r in report["records"]
+               if r["name"] == "empirical error within certified bound"]
+    assert not sweep["passed"]
+    assert ("OscillationResolutionError" in sweep["detail"]
+            or "InadmissibleFilterError" in sweep["detail"])
+    assert "bound sweep CSV emitted" not in [r["name"] for r in report["records"]]
+    assert not list(tmp_path.glob("bound_sweep_*.csv"))
+    assert "[FAIL] errorbounds" in capsys.readouterr().out

@@ -10,14 +10,13 @@ import pytest
 
 from isingrg.correlators import (
     SkewMatrix,
-    _tagged_two_point,
+    _pair,
     pfaffian,
     pfaffian_matchings,
     self_dual_two_point,
     self_dual_two_point_expanded,
     spin_spin_correlation,
     toeplitz_correlation,
-    toeplitz_symbol,
 )
 from isingrg.kernels import Couplings, SelfDualVector, SiteVector
 from isingrg.rgflow import (
@@ -269,8 +268,8 @@ def test_cold_lag_table_memory_at_max_depth(d8):
     assert _cold_peak(st, 16) <= 64e6
 
 
-_FACTORS = {"sum": SelfDualVector.position_sum,
-            "diff": SelfDualVector.position_diff}
+# string factor by lag-table slot: 0 is a + a*, 1 is a - a*
+_FACTORS = {0: SelfDualVector.position_sum, 1: SelfDualVector.position_diff}
 
 
 def test_lag_table_matches_general_pairing(lattice_state, limit_state, d4, d8):
@@ -284,11 +283,11 @@ def test_lag_table_matches_general_pairing(lattice_state, limit_state, d4, d8):
              QuasiFreeState.renormalized(Couplings.critical(), d4, 3)]
     checks = [(st, s, t1, t2) for st in cheap for s in lags for (t1, t2) in pairs]
     # each general pairing on a d8 limit state costs a fresh |s^|^2 sample,
-    # so there every lag is checked once, the tag pair cycling through all four
+    # so there every lag is checked once, the slot pair cycling through all four
     for st in (limit_state, QuasiFreeState.massive_thermal(d8, 0.5, 2.0)):
         checks += [(st, s, *pairs[i % 4]) for i, s in enumerate(lags)]
     for st, s, t1, t2 in checks:
-        table = _tagged_two_point(st, t1, s, t2, 0)
+        table = _pair(st, s, t1, 0, t2)
         general = self_dual_two_point(st, _FACTORS[t1](s), _FACTORS[t2](0))
         assert abs(table - general) <= 1e-14, (st.kind, s, t1, t2)
 
@@ -311,24 +310,39 @@ def test_lag_table_independent_of_request_order(d4, d8):
 # critical-chain closed forms
 
 
+def _c3(state, s):
+    """Mixed-pair symbol ``C3(s) = <(a_0 - a*_0)(a_{-s} + a*_{-s})>``."""
+    return _pair(state, 0, 1, -s, 0)
+
+
 def test_lattice_symbol_closed_form(lattice_state):
     # mixed-pair symbol of the critical chain: C3(s) = -2 / (pi (2 s + 1))
-    sym = toeplitz_symbol(lattice_state, 4)
-    for s, value in sym.lags.items():
-        assert value == pytest.approx(-2.0 / (math.pi * (2 * s + 1)), abs=1e-12)
-    assert sym.lags[1] != pytest.approx(sym.lags[-1], abs=1e-3)  # asymmetric
+    for s in range(-4, 3):
+        assert _c3(lattice_state, s) == pytest.approx(-2.0 / (math.pi * (2 * s + 1)),
+                                                      abs=1e-12)
+    assert _c3(lattice_state, 1) != pytest.approx(_c3(lattice_state, -1), abs=1e-3)
 
 
 def test_toeplitz_matrix_layout(lattice_state):
+    # entry (r, c) is C3(c - r - 1): slot (1, 0) of the lag table at lag
+    # c - r - 1, times the phase -i of a - a*
     for d in (1, 2, 3, 7, 12):
-        sym = toeplitz_symbol(lattice_state, d)
-        mat = sym.matrix()
-        assert mat.shape == (d, d)
-        for r in range(d):
-            for c in range(d):
-                assert mat[r, c] == sym.lags[c - r - 1]
-    with pytest.raises(ValueError):
-        toeplitz_symbol(lattice_state, 0)
+        mat = np.array([[-1j * complex(_lag_matrix(lattice_state, c - r - 1)[1, 0])
+                         for c in range(d)] for r in range(d)])
+        assert toeplitz_correlation(lattice_state, d) == complex(np.linalg.det(mat))
+
+
+def test_string_cap_checked_before_any_table(lattice_state, monkeypatch):
+    # both routes reject a string past the cap without reading a lag
+    def no_table(*args):
+        raise AssertionError("lag table read")
+
+    monkeypatch.setattr("isingrg.correlators._lag_matrix", no_table)
+    for call in (lambda: toeplitz_correlation(lattice_state, 65),
+                 lambda: toeplitz_correlation(lattice_state, 20_000),
+                 lambda: spin_spin_correlation(lattice_state, (0, 65))):
+        with pytest.raises(ValueError, match="string length .* exceeds 64"):
+            call()
 
 
 def test_lattice_sigma_closed_forms(lattice_state):

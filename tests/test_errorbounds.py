@@ -15,7 +15,6 @@ from isingrg.errorbounds import (
     OscillationResolutionError,
     bound_report,
     bound_sweep,
-    certified_bound,
     certified_components,
     covariance_deviation,
     dynamical_pairing,
@@ -28,7 +27,7 @@ from isingrg._quadrature import symmetric_nodes
 from isingrg.kernels import SelfDualVector, SiteVector
 from isingrg.rgflow import (MOMENTUM_WINDOW, QuasiFreeState, _lag_matrix, _window_abs_s_hat,
                             momentum_cutoff)
-from isingrg.wavelet import make_daubechies_filter, s_hat
+from isingrg.wavelet import Filter, make_daubechies_filter, s_hat
 
 
 V_DIFF0 = SelfDualVector.position_diff(0)
@@ -166,26 +165,30 @@ def test_one_s_hat_sample_per_filter(d8, monkeypatch):
 def test_components_sum_to_bound(d8):
     comps = certified_components(3, 0.5, 1.0, V_DIFF0, V_SUM1, d8)
     assert all(c > 0.0 for c in comps)
-    assert certified_bound(3, 0.5, 1.0, V_DIFF0, V_SUM1, d8) == sum(comps)
+    rep = bound_report(3, 0.5, 1.0, V_DIFF0, V_SUM1, d8)
+    assert rep.components == comps
+    assert rep.certified_bound == sum(comps)
 
 
 def test_gamma_validation(d8):
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
-            certified_bound(2, 0.0, 1.0, V_DIFF0, V_SUM1, d8, bad)
+            certified_components(2, 0.0, 1.0, V_DIFF0, V_SUM1, d8, bad)
 
 
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
 def test_swap_symmetry_exact_at_dyadic_gamma(gamma, d8):
-    a = certified_bound(3, 0.5, 1.0, V_DIFF0, V_SUM1, d8, gamma)
-    b = certified_bound(3, -0.5, 1.0, V_SUM1, V_DIFF0, d8, 1.0 - gamma)
+    # swapping (v1, gamma) <-> (v2, 1 - gamma) with t0 -> -t0 leaves every
+    # component's rounding unchanged
+    a = sum(certified_components(3, 0.5, 1.0, V_DIFF0, V_SUM1, d8, gamma))
+    b = sum(certified_components(3, -0.5, 1.0, V_SUM1, V_DIFF0, d8, 1.0 - gamma))
     assert a == b  # bit-for-bit
 
 
 def test_swap_symmetry_close_at_generic_gamma(d8):
     # 1 - (1 - 0.3) is a different float, so only near-equality holds
-    a = certified_bound(3, 0.5, 1.0, V_DIFF0, V_SUM1, d8, 0.3)
-    b = certified_bound(3, -0.5, 1.0, V_SUM1, V_DIFF0, d8, 0.7)
+    a = sum(certified_components(3, 0.5, 1.0, V_DIFF0, V_SUM1, d8, 0.3))
+    b = sum(certified_components(3, -0.5, 1.0, V_SUM1, V_DIFF0, d8, 0.7))
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -194,8 +197,8 @@ def test_static_bound_ratio_in_quarter_half(d8):
     # dominates at these windowed norms, putting the m -> m+1 ratio just
     # above 1/4 (it would approach 1/2 only once 2^m exceeds the norm ratio)
     for m in (2, 4, 6):
-        ratio = certified_bound(m + 1, 0.0, 1.0, V_DIFF0, V_SUM1, d8) / \
-            certified_bound(m, 0.0, 1.0, V_DIFF0, V_SUM1, d8)
+        ratio = sum(certified_components(m + 1, 0.0, 1.0, V_DIFF0, V_SUM1, d8)) / \
+            sum(certified_components(m, 0.0, 1.0, V_DIFF0, V_SUM1, d8))
         assert 0.25 < ratio < 0.5
         assert ratio == pytest.approx(0.25, abs=1e-3)
 
@@ -203,7 +206,7 @@ def test_static_bound_ratio_in_quarter_half(d8):
 def test_bound_finite_at_scaled_horizon(d8):
     # times growing like the unscaled window, t0 = 2^m T: the order-4
     # term's 2^(-2m) prefactor cancels the growth and the bound plateaus
-    vals = [certified_bound(m, 0.5 * 2 ** m, 1.0, V_DIFF0, V_SUM1, d8)
+    vals = [sum(certified_components(m, 0.5 * 2 ** m, 1.0, V_DIFF0, V_SUM1, d8))
             for m in (2, 4, 6, 8)]
     for v in vals:
         assert v == pytest.approx(2.42604e20, rel=1e-3)
@@ -270,36 +273,34 @@ def test_empirical_error_static_tail(d8):
 
 
 def test_oscillation_resolution_error(d8):
-    # resolution 0.01 widens the panels past the propagator period, so the
-    # doubling check must catch the aliased quadrature and raise
-    with pytest.raises(OscillationResolutionError, match="resolution"):
-        empirical_error(2, 20.0, 1.0, V_DIFF0, V_SUM1, d8, resolution=0.01)
+    # taps scaled by 1.01 give an |s^|^2 that the window level does not
+    # resolve: the doubling check must catch the moved quadrature and raise
+    corrupt = Filter(name="d8-corrupt", order=d8.order, taps=np.asarray(d8.taps) * 1.01)
+    with pytest.raises(OscillationResolutionError, match="panel doubling"):
+        empirical_error(2, 0.0, 1.0, V_DIFF0, V_SUM1, corrupt)
 
 
 def test_pairing_input_validation(d8):
-    # every pairing entry point rejects a time or resolution naming no grid
+    # every pairing entry point rejects a time naming no grid
     calls = (
-        lambda t0, res: dynamical_pairing("limit", 2, t0, 1.0, V_DIFF0, V_SUM1,
-                                          d8, resolution=res),
-        lambda t0, res: empirical_error(2, t0, 1.0, V_DIFF0, V_SUM1, d8,
-                                        resolution=res),
-        lambda t0, res: bound_report(2, t0, 1.0, V_DIFF0, V_SUM1, d8,
-                                     resolution=res),
+        lambda t0: dynamical_pairing("limit", 2, t0, 1.0, V_DIFF0, V_SUM1, d8),
+        lambda t0: empirical_error(2, t0, 1.0, V_DIFF0, V_SUM1, d8),
+        lambda t0: bound_report(2, t0, 1.0, V_DIFF0, V_SUM1, d8),
     )
     for call in calls:
         for t0 in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="t0 must be finite"):
-                call(t0, 1.0)
-        for res in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="resolution must be positive"):
-                call(1.0, res)
+                call(t0)
 
 
 @pytest.mark.parametrize("m", [-1, 2.5, 17, 40, 10 ** 400, True, math.nan])
 def test_depth_checked_not_truncated(m, d8):
     # a negative, fractional, boolean or past-MAX_DEPTH depth names no
-    # renormalized state, on either pairing side and in every bound
+    # renormalized state, on either pairing side, in every bound, in the
+    # calibration and in the sup-constants' phase scale
     calls = (
+        lambda: rgflow.calibrated_couplings(1.0, 0.5, 2.0, m),
+        lambda: sup_constants(0.5, m),
         lambda: certified_components(m, 0.5, 1.0, V_DIFF0, V_SUM1, d8),
         lambda: dynamical_pairing("renormalized", m, 0.5, 1.0, V_DIFF0, V_SUM1, d8),
         lambda: dynamical_pairing("limit", m, 0.5, 1.0, V_DIFF0, V_SUM1, d8),
@@ -310,6 +311,12 @@ def test_depth_checked_not_truncated(m, d8):
     for call in calls:
         with pytest.raises(ValueError, match="m must be"):
             call()
+
+
+@pytest.mark.parametrize("tt", [math.nan, math.inf, -math.inf])
+def test_sup_constants_need_finite_time(tt):
+    with pytest.raises(ValueError, match="t0_times_t must be finite"):
+        sup_constants(tt, 0)
 
 
 _P_PLUS = np.array([[1.0, 1.0], [1.0, 1.0]]) / 2.0
